@@ -31,7 +31,6 @@ from .fock import (
     make_twin_mode_mixture,
     number_difference_stats,
 )
-from .kernels import BACKEND
 from .modes import ModeLabel, Polarization, Port
 from .quadratures import (
     KAPPA,

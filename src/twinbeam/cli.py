@@ -83,9 +83,19 @@ def _config_bands(config: dict, key: str) -> tuple[tuple[float, float], ...]:
     return tuple(bands)
 
 
-def _parse_band(text: str) -> tuple[float, float]:
-    lo, hi = text.split(":")
-    return float(lo), float(hi)
+def _numbers(sep: str, count: int | None, what: str):
+    """argparse type: ``count`` floats (any number when None) joined by ``sep``."""
+
+    def parse(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(float(part) for part in text.split(sep))
+        except ValueError:
+            values = None
+        if values is None or (count is not None and len(values) != count):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return values
+
+    return parse
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -120,6 +130,7 @@ def cmd_hom(args, config) -> int:
         "distribution": {str(k): v for k, v in sorted(stats.distribution.items())},
         "dn_minus": stats.std,
         "coincidence_probability": coincidence,
+        "truncation_leakage": out.truncation_leakage,
     }
     if args.format == "structured":
         _emit(json.dumps(report, indent=2) + "\n", args.output)
@@ -194,16 +205,13 @@ def _fit_config_from(args, config) -> tracefit.FitConfig:
     f_min = args.f_min if args.f_min is not None else window[0]
     f_max = args.f_max if args.f_max is not None else window[1]
     if args.exclude:
-        bands = tuple(_parse_band(b) for b in args.exclude)
+        bands = tuple(args.exclude)
     else:
         bands = _config_bands(config, "trace_fit.exclusions_hz")
-    guess = tuple(float(x) for x in args.guess.split(",")) if args.guess else None
-    if guess is not None and len(guess) != 3:
-        raise ValidationError("--guess needs s0_dbm,xi,delta_hz")
     return tracefit.FitConfig(
         fit_window_hz=(f_min, f_max),
         exclusions_hz=bands,
-        initial_guess=guess,
+        initial_guess=args.guess,
         max_iterations=int(config.get("trace_fit.max_iterations", 200)),
         convergence_tol=float(config.get("trace_fit.convergence_tol", 1e-12)),
         weight_space=args.weight_space or config.get("trace_fit.weight_space", "db"),
@@ -218,8 +226,7 @@ def cmd_fit(args, config) -> int:
     report = tracefit.report_squeezing(trace, result, floor)
 
     if args.phase_grid:
-        start, stop, step = (float(x) for x in args.phase_grid.split(","))
-        nu = tracefit.grid_hz(start, stop, step)
+        nu = tracefit.grid_hz(*args.phase_grid)
     else:
         nu = trace.frequencies_hz[trace.frequencies_hz > 0.0]
     phase_curve = tracefit.predict_phase_spectrum(result, nu)
@@ -249,15 +256,12 @@ def cmd_fit(args, config) -> int:
 
 
 def cmd_uncertainty(args, config) -> int:
-    if args.u_grid:
-        u = np.array([float(x) for x in args.u_grid.split(",")])
-    else:
-        u = np.linspace(0.1, 5.0, 50)
+    u = np.array(args.u_grid) if args.u_grid else np.linspace(0.1, 5.0, 50)
     if np.any(u <= 0.0):
         raise ValidationError("normalized frequencies must be positive")
     s_x = spectra.intensity_diff_spectrum(u, args.xi)
     s_p = spectra.phase_diff_spectrum(u, args.xi)
-    product = s_x * s_p
+    product = spectra.uncertainty_product(u, args.xi)
     excess = spectra.uncertainty_excess(u, args.xi)
     lines = ["u,s_intensity,s_phase,product,excess_over_1"]
     for i in range(u.size):
@@ -336,17 +340,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--f-min", type=float, help="fit window lower edge (Hz)")
     p_fit.add_argument("--f-max", type=float, help="fit window upper edge (Hz)")
     p_fit.add_argument("--exclude", action="append", metavar="LO:HI",
+                       type=_numbers(":", 2, "LO:HI in Hz"),
                        help="exclusion band in Hz, repeatable")
-    p_fit.add_argument("--guess", help="initial guess s0_dbm,xi,delta_hz")
+    p_fit.add_argument("--guess", type=_numbers(",", 3, "s0_dbm,xi,delta_hz"),
+                       help="initial guess s0_dbm,xi,delta_hz")
     p_fit.add_argument("--weight-space", choices=("db", "linear"))
     p_fit.add_argument("--phase-grid", metavar="START,STOP,STEP",
+                       type=_numbers(",", 3, "START,STOP,STEP in Hz"),
                        help="grid for the predicted phase curve (Hz)")
     p_fit.add_argument("--output-prefix", default="twinbeam_fit")
     p_fit.set_defaults(func=cmd_fit)
 
     p_unc = sub.add_parser("uncertainty", help="uncertainty-product table")
     p_unc.add_argument("--xi", type=float, required=True)
-    p_unc.add_argument("--u-grid", help="comma-separated normalized frequencies")
+    p_unc.add_argument("--u-grid", type=_numbers(",", None, "comma-separated numbers"),
+                       help="comma-separated normalized frequencies")
     p_unc.add_argument("--output")
     p_unc.set_defaults(func=cmd_uncertainty)
 

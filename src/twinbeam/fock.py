@@ -9,6 +9,8 @@ one and a :class:`~twinbeam.errors.CapacityError` is raised.
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -16,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, TruncationWarning, ValidationError
-from .kernels import pair_unitary, port_stats
 from .modes import ModeLabel, Polarization, Port
 
 PURE = "pure_vector"
@@ -242,27 +243,104 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
 
 
 # ---------------------------------------------------------------------------
+# Photon-number sectors of a two-mode passive optic
+#
+# The creation-operator map a+ -> alpha c+ + beta d+, b+ -> gamma c+ + delta d+
+# conserves the pair's total photon number n, so its unitary is block
+# diagonal: sector n carries the n-photon representation of the 2x2 mode
+# matrix M = [[alpha, beta], [gamma, delta]] on the basis |j, n-j>. With
+# M = exp(iH)^T for a Hermitian H, the unitary is exp(i dGamma(H)), and
+# dGamma(H) = sum_kl H_kl a_k+ a_l is tridiagonal in each sector.
+# (Yurke, McCall & Klauder, PRA 33, 4033 (1986); Campos, Saleh & Teich,
+# PRA 40, 1371 (1989).)
+# Sectors with n above the cutoff cannot be represented exactly under the
+# truncation; they are left as the identity and callers must keep state
+# support out of them.
+# ---------------------------------------------------------------------------
+
+
+def _mode_generator(alpha, beta, gamma, delta) -> tuple[float, complex, float]:
+    """(H_00, H_01, H_11) of the Hermitian H with exp(iH)^T = [[alpha, beta], [gamma, delta]].
+
+    exp(iH) = e^{i psi/2} (cos t + i sin t n.sigma) with psi the phase of the
+    determinant; the branch of e^{i psi/2} is chosen so that cos t >= 0,
+    which keeps t / sin t bounded by pi / 2.
+    """
+    psi = cmath.phase(alpha * delta - beta * gamma)
+    w = cmath.exp(-0.5j * psi)
+    w00, w01, w10, w11 = alpha * w, gamma * w, beta * w, delta * w
+    if (w00 + w11).real < 0.0:
+        w00, w01, w10, w11, psi = -w00, -w01, -w10, -w11, psi + 2.0 * math.pi
+    cos_t = 0.5 * (w00 + w11).real
+    nx, ny, nz = 0.5 * (w01 + w10).imag, 0.5 * (w01 - w10).real, 0.5 * (w00 - w11).imag
+    sin_t = math.hypot(nx, ny, nz)
+    scale = math.atan2(sin_t, cos_t) / sin_t if sin_t > 0.0 else 1.0
+    return 0.5 * psi + scale * nz, scale * complex(nx, -ny), 0.5 * psi - scale * nz
+
+
+def pair_unitary(alpha, beta, gamma, delta, dim) -> np.ndarray:
+    """Sector blocks of a two-mode passive optic, stacked to shape (dim, dim, dim).
+
+    Block n maps |k, n-k> to |j, n-j> in its leading (n+1) x (n+1) corner;
+    the padding beyond it carries the identity. The diagonal gauge
+    |j> -> e^{ij phi}|j>, phi = arg H_01, makes every sector's generator
+    real symmetric, so all sectors are exponentiated by one batched eigh on
+    the zero-padded stack.
+    """
+    h00, h01, h11 = _mode_generator(alpha, beta, gamma, delta)
+    n = np.arange(dim)[:, None]
+    j = np.arange(dim)
+    gen = np.zeros((dim, dim, dim))
+    gen[:, j, j] = np.where(j <= n, h00 * j + h11 * (n - j), 0.0)
+    hop = abs(h01) * np.sqrt((j[:-1] + 1) * np.maximum(n - j[:-1], 0))
+    gen[:, j[1:], j[:-1]] = hop
+    gen[:, j[:-1], j[1:]] = hop
+    eigvals, eigvecs = np.linalg.eigh(gen)
+    blocks = np.empty((dim, dim, dim), dtype=np.complex128)
+    np.matmul(eigvecs * np.cos(eigvals)[:, None, :], eigvecs.transpose(0, 2, 1), out=blocks.real)
+    np.matmul(eigvecs * np.sin(eigvals)[:, None, :], eigvecs.transpose(0, 2, 1), out=blocks.imag)
+    blocks *= np.exp(1j * cmath.phase(h01) * (j[:, None] - j))
+    return blocks
+
+
+@lru_cache(maxsize=16)
+def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat pair index k*dim + n-k and padded-stack slot n*dim + k of every
+    |k, n-k> in the sectors n <= dim - 1."""
+    n, k = np.tril_indices(dim)
+    pair, slot = k * dim + (n - k), n * dim + k
+    pair.setflags(write=False)
+    slot.setflags(write=False)
+    return pair, slot
+
+
+def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, blocks: np.ndarray) -> np.ndarray:
+    dim = tensor.shape[ax1]
+    moved = np.moveaxis(tensor, (ax1, ax2), (0, 1))
+    flat = moved.reshape(dim * dim, -1)
+    pair, slot = _sector_index(dim)
+    stack = np.zeros((dim * dim, flat.shape[1]), dtype=np.complex128)
+    stack[slot] = flat[pair]
+    stack = (blocks @ stack.reshape(dim, dim, -1)).reshape(dim * dim, -1)
+    out = flat.copy()
+    out[pair] = stack[slot]
+    return np.moveaxis(out.reshape(moved.shape), (0, 1), (ax1, ax2))
+
+
+# ---------------------------------------------------------------------------
 # Optics
 # ---------------------------------------------------------------------------
 
 
-def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, matrix: np.ndarray) -> np.ndarray:
-    dim = tensor.shape[ax1]
-    moved = np.moveaxis(tensor, (ax1, ax2), (0, 1))
-    shape = moved.shape
-    out = (matrix @ moved.reshape(dim * dim, -1)).reshape(shape)
-    return np.moveaxis(out, (0, 1), (ax1, ax2))
-
-
-def _apply_pair(state: MultimodeState, i: int, j: int, matrix: np.ndarray) -> MultimodeState:
+def _apply_pair(state: MultimodeState, i: int, j: int, blocks: np.ndarray) -> MultimodeState:
     dim, m = state.dim, state.n_modes
     if state.representation == PURE:
         tensor = state.amplitudes.reshape((dim,) * m)
-        out = _contract_pair(tensor, i, j, matrix).ravel()
+        out = _contract_pair(tensor, i, j, blocks).ravel()
     else:
         tensor = state.amplitudes.reshape((dim,) * (2 * m))
-        out = _contract_pair(tensor, i, j, matrix)
-        out = _contract_pair(out, m + i, m + j, matrix.conj())
+        out = _contract_pair(tensor, i, j, blocks)
+        out = _contract_pair(out, m + i, m + j, blocks.conj())
         out = out.reshape(state.basis_size, state.basis_size)
     return MultimodeState(
         state.modes, state.cutoff, out, state.representation, state.truncation_leakage
@@ -341,8 +419,7 @@ def apply_beam_splitter(
             if port not in present:
                 working = _append_vacuum(working, ModeLabel(key[0], key[1], port))
 
-    coeffs = _pair_coefficients(mixing_angle, convention)
-    matrix = pair_unitary(*coeffs, working.dim)
+    blocks = pair_unitary(*_pair_coefficients(mixing_angle, convention), working.dim)
     keys = sorted(
         {m.interference_key for m in working.modes if m.spatial_port in (p, q)}, key=str
     )
@@ -351,7 +428,7 @@ def apply_beam_splitter(
         i = working.mode_index(ModeLabel(key[0], key[1], p))
         j = working.mode_index(ModeLabel(key[0], key[1], q))
         leakage += _pair_overflow_weight(working, i, j)
-        working = _apply_pair(working, i, j, matrix)
+        working = _apply_pair(working, i, j, blocks)
 
     out_modes = tuple(
         m.moved_to(_OUTPUT_PORT[m.spatial_port]) if m.spatial_port in (p, q) else m
@@ -381,13 +458,13 @@ def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeS
             if pol not in present:
                 working = _append_vacuum(working, ModeLabel(pol, tag, path))
 
-    matrix = pair_unitary(*_pair_coefficients(2.0 * theta, ROTATION), working.dim)
+    blocks = pair_unitary(*_pair_coefficients(2.0 * theta, ROTATION), working.dim)
     leakage = working.truncation_leakage
     for tag in sorted({m.frequency_tag for m in working.modes}):
         i = working.mode_index(ModeLabel(Polarization.H, tag, path))
         j = working.mode_index(ModeLabel(Polarization.V, tag, path))
         leakage += _pair_overflow_weight(working, i, j)
-        working = _apply_pair(working, i, j, matrix)
+        working = _apply_pair(working, i, j, blocks)
 
     out_modes = tuple(
         m.moved_to(Port.C if m.polarization == Polarization.H else Port.D)
@@ -403,10 +480,21 @@ def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeS
 # ---------------------------------------------------------------------------
 
 
-def _port_selectors(state: MultimodeState, port_c: Port, port_d: Port):
+def port_stats(state: MultimodeState, port_c=Port.C, port_d=Port.D) -> np.ndarray:
+    """Joint probability P[n_c, n_d] of the photon numbers in two ports.
+
+    Photon numbers are summed over every mode on each port; one bincount
+    over the occupation basis.
+    """
+    occ = _occupations(state.dim, state.n_modes)
     sel_c = np.array([m.spatial_port == Port(port_c) for m in state.modes])
     sel_d = np.array([m.spatial_port == Port(port_d) for m in state.modes])
-    return sel_c, sel_d
+    size_c = state.cutoff * int(sel_c.sum()) + 1
+    size_d = state.cutoff * int(sel_d.sum()) + 1
+    n_c, n_d = occ[sel_c].sum(axis=0), occ[sel_d].sum(axis=0)
+    joint = np.bincount(n_c * size_d + n_d, weights=state.probabilities(),
+                        minlength=size_c * size_d)
+    return joint.reshape(size_c, size_d)
 
 
 def number_difference_stats(
@@ -416,13 +504,11 @@ def number_difference_stats(
 
     Photon numbers are summed over every frequency tag within each port.
     """
-    sel_c, sel_d = _port_selectors(state, port_c, port_d)
-    hist, _ = port_stats(
-        state.probabilities(), np.asarray(_strides(state.dim, state.n_modes)),
-        state.dim, sel_c, sel_d,
-    )
-    n_max = (state.dim - 1) * state.n_modes
-    values = np.arange(-n_max, n_max + 1)
+    joint = port_stats(state, port_c, port_d)
+    size_c, size_d = joint.shape
+    offset = np.arange(size_c)[:, None] - np.arange(size_d) + (size_d - 1)
+    hist = np.bincount(offset.ravel(), weights=joint.ravel())
+    values = np.arange(1 - size_d, size_c)
     mean = float(np.dot(hist, values))
     variance = float(np.dot(hist, values.astype(float) ** 2) - mean**2)
     distribution = {int(v): float(pr) for v, pr in zip(values, hist) if pr > 1e-12}
@@ -431,25 +517,12 @@ def number_difference_stats(
 
 def coincidence_probability(state: MultimodeState, port_c=Port.C, port_d=Port.D) -> float:
     """Probability that both output ports hold at least one photon."""
-    sel_c, sel_d = _port_selectors(state, port_c, port_d)
-    _, coincidence = port_stats(
-        state.probabilities(), np.asarray(_strides(state.dim, state.n_modes)),
-        state.dim, sel_c, sel_d,
-    )
-    return float(coincidence)
+    return float(port_stats(state, port_c, port_d)[1:, 1:].sum())
 
 
 def joint_port_distribution(
     state: MultimodeState, port_c=Port.C, port_d=Port.D, tol: float = 1e-12
 ) -> dict[tuple[int, int], float]:
     """Joint probability of (n_c, n_d) photon counts, entries above tol."""
-    sel_c, sel_d = _port_selectors(state, port_c, port_d)
-    occ = _occupations(state.dim, state.n_modes)
-    n_c = occ[sel_c].sum(axis=0) if sel_c.any() else np.zeros(state.basis_size, dtype=int)
-    n_d = occ[sel_d].sum(axis=0) if sel_d.any() else np.zeros(state.basis_size, dtype=int)
-    probs = state.probabilities()
-    out: dict[tuple[int, int], float] = {}
-    for nc, nd, pr in zip(n_c, n_d, probs):
-        if pr > 0.0:
-            out[(int(nc), int(nd))] = out.get((int(nc), int(nd)), 0.0) + float(pr)
-    return {k: v for k, v in out.items() if v > tol}
+    joint = port_stats(state, port_c, port_d)
+    return {(int(nc), int(nd)): float(joint[nc, nd]) for nc, nd in zip(*np.nonzero(joint > tol))}

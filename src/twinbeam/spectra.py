@@ -115,10 +115,14 @@ class SpectrumCurve:
 
 
 def intensity_diff_spectrum(u, xi: float):
-    """Intensity-difference noise 1 - xi / (1 + u^2), squeezed below shot noise."""
+    """Intensity-difference noise 1 - xi / (1 + u^2), squeezed below shot noise.
+
+    Evaluated as ((1 - xi) + u^2) / (1 + u^2), which does not cancel near
+    xi = 1 at small u.
+    """
     xi = _check_xi(xi)
     u = np.asarray(u, dtype=float)
-    out = 1.0 - xi / (1.0 + u**2)
+    out = ((1.0 - xi) + u**2) / (1.0 + u**2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -144,8 +148,9 @@ def uncertainty_product(u, xi: float):
 
     Algebraically 1 + xi (1 - xi) / (u^2 (1 + u^2)): unity for all u only
     at xi in {0, 1}; a lossless cavity output is a minimum uncertainty state.
+    Built from that closed form, so it never rounds below 1.
     """
-    return intensity_diff_spectrum(u, xi) * phase_diff_spectrum(u, xi)
+    return 1.0 + uncertainty_excess(u, xi)
 
 
 def uncertainty_excess(u, xi: float):

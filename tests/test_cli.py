@@ -34,6 +34,15 @@ class TestHom:
         assert report["coincidence_probability"] == 0.0
         assert report["distribution"] == {"0": 1.0}
 
+    def test_reports_truncation_leakage(self, capsys):
+        assert run("hom", "--n-a", "2", "--n-b", "1") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {
+            "n_a", "n_b", "distinguishable", "theta", "distribution", "dn_minus",
+            "coincidence_probability", "truncation_leakage",
+        }
+        assert report["truncation_leakage"] == 0.0
+
     def test_cutoff_overflow_surfaces_as_validation(self, capsys):
         assert run("hom", "--n-a", "3", "--n-b", "2", "--cutoff", "3") == cli.EXIT_VALIDATION
 
@@ -138,6 +147,17 @@ class TestFitCommand:
         bad.write_text("frequency_hz,power_dbm\n10,-80\n5,-81\n")
         assert run("fit", "--trace", str(bad), "--output-prefix", str(tmp_path / "x")) == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--exclude", "3e6-4e6"), ("--guess", "-80,0.5"), ("--phase-grid", "1e6,2e6,x"),
+    ])
+    def test_malformed_flag_is_usage_error(self, tmp_path, trace_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run("fit", "--trace", str(trace_path), f"{flag}={value}",
+                "--output-prefix", str(tmp_path / "z"))
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("z*"))
+
     def test_convergence_failure_exit_code(self, tmp_path, trace_path):
         config = tmp_path / "strict.cfg"
         config.write_text(
@@ -169,6 +189,16 @@ class TestUncertainty:
 
     def test_nonpositive_u_rejected(self):
         assert run("uncertainty", "--xi", "0.5", "--u-grid", "0,1") == cli.EXIT_VALIDATION
+
+    def test_malformed_u_grid_is_usage_error(self):
+        with pytest.raises(SystemExit) as exit_info:
+            run("uncertainty", "--xi", "0.5", "--u-grid", "0.5;1")
+        assert exit_info.value.code == 2
+
+    def test_small_u_product_is_one_at_unit_correlation(self, capsys):
+        assert run("uncertainty", "--xi", "1", "--u-grid", "1e-4,1e-3,0.125,1") == 0
+        for line in capsys.readouterr().out.strip().splitlines()[1:]:
+            assert float(line.split(",")[3]) == 1.0
 
 
 class TestSynth:

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from twinbeam import fock
 from twinbeam.errors import CapacityError, TruncationWarning, ValidationError
-from twinbeam.kernels import pair_unitary
 from twinbeam.modes import ModeLabel, Polarization, Port
 
 H, V = Polarization.H, Polarization.V
@@ -277,27 +276,48 @@ class TestInvariants:
         out = fock.apply_beam_splitter(state)
         assert abs(out.norm() - 1.0) <= 1e-12
 
+    @staticmethod
+    def coefficients(theta, convention):
+        c, s = np.cos(theta), np.sin(theta)
+        if convention == fock.SYMMETRIC_I:
+            return complex(c), 1j * s, 1j * s, complex(c)
+        return complex(c), complex(-s), complex(s), complex(c)
+
+    @staticmethod
+    def block_unitarity_error(blocks):
+        eye = np.eye(blocks.shape[-1])
+        return np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - eye).max()
+
     def test_pair_unitary_matrix_is_unitary(self):
-        for coeffs in (
-            (np.cos(0.4), 1j * np.sin(0.4), 1j * np.sin(0.4), np.cos(0.4)),
-            (np.cos(1.1), -np.sin(1.1), np.sin(1.1), np.cos(1.1)),
-        ):
-            matrix = pair_unitary(*(complex(c) for c in coeffs), 9)
-            eye = np.eye(81)
-            assert np.abs(matrix.conj().T @ matrix - eye).max() <= 1e-12
+        for theta, convention in ((0.4, fock.SYMMETRIC_I), (1.1, fock.ROTATION)):
+            blocks = fock.pair_unitary(*self.coefficients(theta, convention), 9)
+            assert blocks.shape == (9, 9, 9)
+            assert self.block_unitarity_error(blocks) <= 1e-12
+
+    def test_pair_unitary_blocks_unitary_at_cutoff_120(self):
+        for convention in (fock.SYMMETRIC_I, fock.ROTATION):
+            blocks = fock.pair_unitary(*self.coefficients(fock.BALANCED_ANGLE, convention), 121)
+            assert self.block_unitarity_error(blocks) <= 1e-13
 
     def test_pair_unitary_matches_expm_oracle(self):
         dim = 6
-        n1, n2 = np.divmod(np.arange(dim * dim), dim)
-        conserved = (n1 + n2) <= dim - 1
-        for convention, coeffs in (
-            ("symmetric_i", (np.cos(0.6), 1j * np.sin(0.6), 1j * np.sin(0.6), np.cos(0.6))),
-            ("rotation", (np.cos(0.6), -np.sin(0.6), np.sin(0.6), np.cos(0.6))),
-        ):
-            kernel = pair_unitary(*(complex(c) for c in coeffs), dim)
-            reference = oracles.splitter_unitary_expm(dim, 0.6, convention)
-            block = np.ix_(conserved, conserved)
-            assert np.abs(kernel[block] - reference[block]).max() <= 1e-12
+        for theta in np.linspace(0.0, 2.0 * np.pi, 17):
+            for convention in (fock.SYMMETRIC_I, fock.ROTATION):
+                blocks = fock.pair_unitary(*self.coefficients(theta, convention), dim)
+                reference = oracles.splitter_unitary_expm(dim, theta, convention)
+                for n in range(dim):
+                    k = np.arange(n + 1)
+                    sector = np.ix_(k * dim + (n - k), k * dim + (n - k))
+                    err = np.abs(blocks[n, : n + 1, : n + 1] - reference[sector]).max()
+                    assert err <= 1e-12, (theta, convention, n, err)
+
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    @pytest.mark.parametrize("n", [20, 24, 28, 30])
+    def test_twin_fock_variance_to_n_30(self, n, convention):
+        out = fock.apply_beam_splitter(fock.make_fock([n, n], cutoff=2 * n), convention=convention)
+        assert abs(out.norm() - 1.0) <= 1e-12
+        variance = fock.number_difference_stats(out).variance
+        assert variance == pytest.approx(2 * n * (n + 1), rel=1e-12)
 
     @pytest.mark.parametrize("n_a,n_b", [(1, 1), (2, 1), (3, 0), (2, 2)])
     def test_convention_invariance_fock_inputs(self, n_a, n_b):
@@ -333,29 +353,3 @@ class TestInvariants:
     def test_vacuum_has_no_coincidence(self):
         out = fock.apply_beam_splitter(fock.make_fock([0, 0], cutoff=1))
         assert fock.coincidence_probability(out) == 0.0
-
-
-class TestKernelLanes:
-    def test_port_stats_lanes_agree(self):
-        from twinbeam.kernels import _port_stats_numpy, port_stats
-
-        rng = np.random.default_rng(3)
-        probs = rng.random(81)
-        probs /= probs.sum()
-        strides = np.array([27, 9, 3, 1], dtype=np.int64)
-        sel_c = np.array([True, False, True, False])
-        sel_d = np.array([False, True, False, False])
-        hist_sel, coin_sel = port_stats(probs, strides, 3, sel_c, sel_d)
-        hist_np, coin_np = _port_stats_numpy(probs, strides, 3, sel_c, sel_d)
-        np.testing.assert_allclose(hist_sel, hist_np, atol=1e-15)
-        assert coin_sel == pytest.approx(coin_np, abs=1e-15)
-
-    def test_pair_unitary_lanes_agree(self):
-        from twinbeam.kernels import _fill_pair_unitary_numpy, pair_unitary
-
-        c, s = np.cos(0.7), np.sin(0.7)
-        coeffs = (complex(c), 1j * s, 1j * s, complex(c))
-        selected = pair_unitary(*coeffs, 8)
-        fallback = np.zeros((64, 64), dtype=np.complex128)
-        _fill_pair_unitary_numpy(fallback, *coeffs, 8)
-        np.testing.assert_allclose(selected, fallback, atol=1e-14)

@@ -97,6 +97,13 @@ class TestUncertaintyProduct:
         assert product == pytest.approx(identity, rel=1e-12)
         assert product >= 1.0 - 1e-15
 
+    @pytest.mark.parametrize("u", [0.125, 1e-4])
+    def test_lossless_product_does_not_round_below_one(self, u):
+        # 1 - xi/(1+u^2) cancels at xi = 1 and small u and would pull the
+        # product below 1 (0.9999999999999964 at u = 0.125)
+        assert spectra.uncertainty_product(u, 1.0) == 1.0
+        assert spectra.intensity_diff_spectrum(u, 1.0) == pytest.approx(u**2 / (1 + u**2), rel=1e-15)
+
     def test_minimum_uncertainty_at_unit_correlation(self):
         u = np.linspace(0.05, 40, 2001)
         np.testing.assert_allclose(spectra.uncertainty_product(u, 1.0), 1.0, atol=1e-12)
