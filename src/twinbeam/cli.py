@@ -8,8 +8,9 @@ Subcommands:
   uncertainty  uncertainty-product table over normalized frequency
   synth        generate a synthetic trace CSV
 
-Physical defaults live in the packaged ``defaults.cfg`` (overridable with
---config); explicit flags win over the file.
+Physical defaults are written once, in code (see DEFAULTS). A --config file
+of ``key = value`` lines overrides them key by key; explicit flags win over
+the file.
 
 Exit codes: 0 success, 2 usage error, 3 file/trace parse error,
 4 validation or domain error, 5 fit convergence failure.
@@ -20,12 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import fock, quadratures, spectra, tracefit
+from . import fock, spectra, tracefit
 from .errors import (
     CapacityError,
     DomainError,
@@ -42,49 +42,8 @@ EXIT_VALIDATION = 4
 EXIT_CONVERGENCE = 5
 
 
-# ---------------------------------------------------------------------------
-# Config file: flat "namespace.key = value" lines, '#' comments
-# ---------------------------------------------------------------------------
-
-
-def load_config(path=None) -> dict[str, str]:
-    if path is None:
-        text = resources.files("twinbeam").joinpath("defaults.cfg").read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    config: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise TraceParseError(f"config line is not 'key = value': {stripped!r}", lineno)
-        key, value = stripped.split("=", 1)
-        config[key.strip()] = value.strip()
-    return config
-
-
-def _config_floats(config: dict, key: str, count: int | None = None) -> tuple[float, ...]:
-    raw = config[key]
-    values = tuple(float(part.strip()) for part in raw.split(","))
-    if count is not None and len(values) != count:
-        raise ValidationError(f"config key {key} needs {count} values, got {raw!r}")
-    return values
-
-
-def _config_bands(config: dict, key: str) -> tuple[tuple[float, float], ...]:
-    raw = config.get(key, "").strip()
-    if not raw:
-        return ()
-    bands = []
-    for chunk in raw.split(";"):
-        lo, hi = chunk.split(":")
-        bands.append((float(lo), float(hi)))
-    return tuple(bands)
-
-
 def _numbers(sep: str, count: int | None, what: str):
-    """argparse type: ``count`` floats (any number when None) joined by ``sep``."""
+    """Parser of ``count`` floats (any number when None) joined by ``sep``."""
 
     def parse(text: str) -> tuple[float, ...]:
         try:
@@ -96,6 +55,58 @@ def _numbers(sep: str, count: int | None, what: str):
         return values
 
     return parse
+
+
+_band = _numbers(":", 2, "LO:HI in Hz")
+_grid = _numbers(",", 3, "START,STOP,STEP in Hz")
+
+
+def _bands(text: str) -> tuple[tuple[float, float], ...]:
+    """``LO:HI;LO:HI`` exclusion bands in Hz; an empty value means none."""
+    return tuple(_band(chunk) for chunk in text.split(";")) if text else ()
+
+
+# ---------------------------------------------------------------------------
+# Config: code defaults overlaid by "namespace.key = value" lines, '#' comments
+# ---------------------------------------------------------------------------
+
+_FIT = tracefit.FitConfig.standard()
+
+#: key -> (default, parser of the file's text value)
+DEFAULTS = {
+    # default per-mode cutoff of `hom`; upper bound of `limits --n-max`
+    "fock.cutoff": (8, int),
+    "fock.max_n": (10, int),
+    "trace_fit.fit_window_hz": (_FIT.fit_window_hz, _numbers(",", 2, "LOW,HIGH in Hz")),
+    "trace_fit.exclusions_hz": (_FIT.exclusions_hz, _bands),
+    "trace_fit.max_iterations": (_FIT.max_iterations, int),
+    "trace_fit.convergence_tol": (_FIT.convergence_tol, float),
+    "trace_fit.weight_space": (_FIT.weight_space, str),
+    "cli.grid_hz": (tracefit.DEFAULT_GRID_HZ, _grid),
+}
+
+
+def load_config(path=None) -> dict:
+    """DEFAULTS overlaid key by key by the file at ``path``; a malformed line,
+    an unknown key or an unparsable value raises TraceParseError."""
+    config = {key: default for key, (default, _) in DEFAULTS.items()}
+    if path is None:
+        return config
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise TraceParseError(f"config line is not 'key = value': {stripped!r}", lineno)
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in DEFAULTS:
+            raise TraceParseError(f"unknown config key {key!r}", lineno)
+        try:
+            config[key] = DEFAULTS[key][1](value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise TraceParseError(f"bad value for {key}: {exc}", lineno) from None
+    return config
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -111,7 +122,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def cmd_hom(args, config) -> int:
-    cutoff = args.cutoff if args.cutoff else max(int(config.get("fock.cutoff", 8)), args.n_a + args.n_b, 1)
+    cutoff = args.cutoff or max(config["fock.cutoff"], args.n_a + args.n_b, 1)
     freq_b = 1 if args.distinguishable else 0
     modes = (
         ModeLabel(Polarization.H, 0, Port.A),
@@ -122,12 +133,13 @@ def cmd_hom(args, config) -> int:
     out = fock.apply_beam_splitter(state, mixing_angle=mixing, convention=fock.ROTATION)
     stats = fock.number_difference_stats(out)
     coincidence = fock.coincidence_probability(out)
+    distribution = sorted(stats.distribution.items())
     report = {
         "n_a": args.n_a,
         "n_b": args.n_b,
         "distinguishable": bool(args.distinguishable),
         "theta": args.theta,
-        "distribution": {str(k): v for k, v in sorted(stats.distribution.items())},
+        "distribution": {str(k): v for k, v in distribution},
         "dn_minus": stats.std,
         "coincidence_probability": coincidence,
         "truncation_leakage": out.truncation_leakage,
@@ -135,32 +147,30 @@ def cmd_hom(args, config) -> int:
     if args.format == "structured":
         _emit(json.dumps(report, indent=2) + "\n", args.output)
     else:
-        lines = ["n_minus,probability"]
-        lines += [f"{k},{v:.12g}" for k, v in sorted(stats.distribution.items())]
-        lines += [f"# dn_minus={stats.std:.12g}", f"# coincidence={coincidence:.12g}"]
-        _emit("\n".join(lines) + "\n", args.output)
+        n_minus, probability = zip(*distribution)
+        value = spectra.VALUE_FORMAT
+        trailer = (f"dn_minus={stats.std:{value}}", f"coincidence={coincidence:{value}}")
+        _emit(spectra.csv_table({"n_minus": n_minus, "probability": probability},
+                                trailer=trailer), args.output)
     return EXIT_OK
 
 
 def cmd_limits(args, config) -> int:
-    max_n = int(config.get("fock.max_n", 10))
-    if args.n_max > max_n:
-        raise ValidationError(f"n_max {args.n_max} above the documented bound {max_n}")
-    rows = []
-    for n in range(args.n_max + 1):
-        if n == 0:
-            rows.append((0, 0.0, 0.0, 0.0, 0.0))
-            continue
-        classical = fock.number_difference_stats(
-            fock.apply_beam_splitter(fock.make_fock([n, 0], cutoff=n))
-        ).std
-        twin = fock.number_difference_stats(
-            fock.apply_beam_splitter(fock.make_fock([n, n], cutoff=2 * n))
-        ).std
-        rows.append((n, classical, twin, np.sqrt(n), float(n)))
-    lines = ["n,dn_minus_single,dn_minus_twin,sqrt_n_reference,n_reference"]
-    lines += [f"{n},{c:.12g},{t:.12g},{s:.12g},{r:.12g}" for n, c, t, s, r in rows]
-    _emit("\n".join(lines) + "\n", args.output)
+    max_n = config["fock.max_n"]
+    if not 0 <= args.n_max <= max_n:
+        raise ValidationError(f"n_max {args.n_max} outside the documented range 0..{max_n}")
+    n = np.arange(args.n_max + 1)
+    classical, twin = [0.0], [0.0]
+    for k in range(1, args.n_max + 1):
+        classical.append(fock.number_difference_stats(
+            fock.apply_beam_splitter(fock.make_fock([k, 0], cutoff=k))
+        ).std)
+        twin.append(fock.number_difference_stats(
+            fock.apply_beam_splitter(fock.make_fock([k, k], cutoff=2 * k))
+        ).std)
+    columns = {"n": n, "dn_minus_single": classical, "dn_minus_twin": twin,
+               "sqrt_n_reference": np.sqrt(n), "n_reference": n}
+    _emit(spectra.csv_table(columns), args.output)
     return EXIT_OK
 
 
@@ -169,8 +179,7 @@ def _grid_from_args(args, config) -> np.ndarray:
         if None in (args.f_start, args.f_stop, args.f_step):
             raise ValidationError("--f-start, --f-stop, --f-step must be given together")
         return tracefit.grid_hz(args.f_start, args.f_stop, args.f_step)
-    start, stop, step = _config_floats(config, "cli.grid_hz", 3)
-    return tracefit.grid_hz(start, stop, step)
+    return tracefit.grid_hz(*config["cli.grid_hz"])
 
 
 def _params_from_args(args) -> spectra.OpoParams:
@@ -187,40 +196,31 @@ def cmd_spectra(args, config) -> int:
     params = _params_from_args(args)
     nu = _grid_from_args(args, config)
     which = ["intensity", "phase"] if args.which == "both" else [args.which]
-    columns = {}
+    columns = {"frequency_hz": nu}
     for name in which:
         curve = spectra.physical_frequency_curve(params, nu, name)
         columns[f"{name}_dbm"] = spectra.relative_to_dbm(curve.values, params.s0_dbm)
     columns["shot_noise_dbm"] = np.full(nu.size, params.s0_dbm)
-    header = "frequency_hz," + ",".join(columns)
-    lines = [header]
-    for i, f in enumerate(nu):
-        lines.append(f"{f:.10g}," + ",".join(f"{col[i]:.12g}" for col in columns.values()))
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(spectra.csv_table(columns), args.output)
     return EXIT_OK
 
 
 def _fit_config_from(args, config) -> tracefit.FitConfig:
-    window = _config_floats(config, "trace_fit.fit_window_hz", 2)
-    f_min = args.f_min if args.f_min is not None else window[0]
-    f_max = args.f_max if args.f_max is not None else window[1]
-    if args.exclude:
-        bands = tuple(args.exclude)
-    else:
-        bands = _config_bands(config, "trace_fit.exclusions_hz")
+    f_min, f_max = config["trace_fit.fit_window_hz"]
     return tracefit.FitConfig(
-        fit_window_hz=(f_min, f_max),
-        exclusions_hz=bands,
+        fit_window_hz=(f_min if args.f_min is None else args.f_min,
+                       f_max if args.f_max is None else args.f_max),
+        exclusions_hz=tuple(args.exclude) if args.exclude else config["trace_fit.exclusions_hz"],
         initial_guess=args.guess,
-        max_iterations=int(config.get("trace_fit.max_iterations", 200)),
-        convergence_tol=float(config.get("trace_fit.convergence_tol", 1e-12)),
-        weight_space=args.weight_space or config.get("trace_fit.weight_space", "db"),
+        max_iterations=config["trace_fit.max_iterations"],
+        convergence_tol=config["trace_fit.convergence_tol"],
+        weight_space=args.weight_space or config["trace_fit.weight_space"],
     )
 
 
 def cmd_fit(args, config) -> int:
-    trace = tracefit.load_trace(args.trace)
-    floor = tracefit.load_trace(args.floor) if args.floor else None
+    trace = tracefit.load_trace(Path(args.trace))
+    floor = tracefit.load_trace(Path(args.floor)) if args.floor else None
     fit_config = _fit_config_from(args, config)
     result = tracefit.fit_intensity_spectrum(trace, fit_config)
     report = tracefit.report_squeezing(trace, result, floor)
@@ -261,15 +261,10 @@ def cmd_uncertainty(args, config) -> int:
         raise ValidationError("normalized frequencies must be positive")
     s_x = spectra.intensity_diff_spectrum(u, args.xi)
     s_p = spectra.phase_diff_spectrum(u, args.xi)
-    product = spectra.uncertainty_product(u, args.xi)
-    excess = spectra.uncertainty_excess(u, args.xi)
-    lines = ["u,s_intensity,s_phase,product,excess_over_1"]
-    for i in range(u.size):
-        lines.append(
-            f"{u[i]:.10g},{np.atleast_1d(s_x)[i]:.12g},{np.atleast_1d(s_p)[i]:.12g},"
-            f"{np.atleast_1d(product)[i]:.12g},{np.atleast_1d(excess)[i]:.12g}"
-        )
-    _emit("\n".join(lines) + "\n", args.output)
+    columns = {"u": u, "s_intensity": s_x, "s_phase": s_p,
+               "product": spectra.uncertainty_product(u, args.xi),
+               "excess_over_1": spectra.uncertainty_excess(u, args.xi)}
+    _emit(spectra.csv_table(columns), args.output)
     return EXIT_OK
 
 
@@ -307,7 +302,7 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twinbeam", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--config", help="config file overriding the packaged defaults")
+    parser.add_argument("--config", help="file of 'key = value' lines overriding the defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_hom = sub.add_parser("hom", help="two-photon interference demo")
@@ -336,17 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a trace and predict the phase spectrum")
     p_fit.add_argument("--trace", required=True, help="intensity-difference trace CSV")
-    p_fit.add_argument("--floor", help="detection noise-floor trace CSV")
+    p_fit.add_argument("--floor", help="detection noise-floor trace CSV; it feeds only the "
+                       "detection-corrected squeezing, (S0, xi, delta) are fitted to the raw trace")
     p_fit.add_argument("--f-min", type=float, help="fit window lower edge (Hz)")
     p_fit.add_argument("--f-max", type=float, help="fit window upper edge (Hz)")
-    p_fit.add_argument("--exclude", action="append", metavar="LO:HI",
-                       type=_numbers(":", 2, "LO:HI in Hz"),
+    p_fit.add_argument("--exclude", action="append", metavar="LO:HI", type=_band,
                        help="exclusion band in Hz, repeatable")
     p_fit.add_argument("--guess", type=_numbers(",", 3, "s0_dbm,xi,delta_hz"),
                        help="initial guess s0_dbm,xi,delta_hz")
     p_fit.add_argument("--weight-space", choices=("db", "linear"))
-    p_fit.add_argument("--phase-grid", metavar="START,STOP,STEP",
-                       type=_numbers(",", 3, "START,STOP,STEP in Hz"),
+    p_fit.add_argument("--phase-grid", metavar="START,STOP,STEP", type=_grid,
                        help="grid for the predicted phase curve (Hz)")
     p_fit.add_argument("--output-prefix", default="twinbeam_fit")
     p_fit.set_defaults(func=cmd_fit)

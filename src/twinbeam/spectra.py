@@ -19,7 +19,6 @@ ultra-low-frequency regime is outside this model.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +101,32 @@ class SpectrumCurve:
         return self
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("frequency_hz,value,unit\n")
-        for f, v in zip(self.frequencies_hz, self.values):
-            buf.write(f"{f:.10g},{v:.12g},{self.unit}\n")
-        return buf.getvalue()
+        return csv_table({"frequency_hz": self.frequencies_hz, "value": self.values,
+                          "unit": self.unit})
+
+
+#: Number formats of every table the toolkit writes.
+FREQUENCY_FORMAT = ".10g"
+VALUE_FORMAT = ".12g"
+
+
+def csv_table(columns: dict, comments=(), trailer=()) -> str:
+    """``# `` comment lines, the header, one row per sample, ``# `` trailer lines.
+
+    The first column is written with FREQUENCY_FORMAT, the others with
+    VALUE_FORMAT; a str column repeats on every row.
+    """
+    cells, lists = [], []
+    for i, values in enumerate(columns.values()):
+        if isinstance(values, str):
+            cells.append(values.replace("{", "{{").replace("}", "}}"))
+        else:
+            cells.append("{:" + (VALUE_FORMAT if i else FREQUENCY_FORMAT) + "}")
+            lists.append(np.asarray(values).tolist())
+    row = ",".join(cells) + "\n"
+    head = "".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\n"
+    tail = "".join(f"# {line}\n" for line in trailer)
+    return head + "".join(map(row.format, *lists)) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ header, then one sample per line with strictly increasing frequencies.
 
 from __future__ import annotations
 
-import io
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,10 @@ TECHNICAL_NOISE_CUTOFF_HZ = 2.0e6
 #: a 200 kHz band around it.
 MODULATION_SPUR_BAND_HZ = (3.8e6, 4.0e6)
 
+#: Default synthetic and CLI frequency grid (start, stop, step in Hz): 317 points.
+DEFAULT_GRID_HZ = (0.5e6, 10.0e6, 30e3)
+
+_HEADER = "frequency_hz,power_dbm"
 _N_PARAMS = 3
 _XI_MIN = 1e-9
 _LAMBDA0 = 1e-3
@@ -165,31 +168,31 @@ class SqueezingReport:
 
 
 def trace_to_csv(trace: SpectrumTrace) -> str:
-    buf = io.StringIO()
-    if trace.rbw_hz:
-        buf.write(f"# rbw_hz={trace.rbw_hz:.10g}\n")
+    comments = [f"rbw_hz={trace.rbw_hz:{spectra.FREQUENCY_FORMAT}}"] if trace.rbw_hz else []
     if trace.label:
-        buf.write(f"# label={trace.label}\n")
-    buf.write("frequency_hz,power_dbm\n")
-    for f, p in zip(trace.frequencies_hz, trace.powers_dbm):
-        buf.write(f"{f:.10g},{p:.12g}\n")
-    return buf.getvalue()
+        comments.append(f"label={trace.label}")
+    return spectra.csv_table(
+        {"frequency_hz": trace.frequencies_hz, "power_dbm": trace.powers_dbm}, comments
+    )
 
 
 def save_trace(trace: SpectrumTrace, path) -> None:
     Path(path).write_text(trace_to_csv(trace), encoding="utf-8")
 
 
-def load_trace(source, fmt: str = "csv") -> SpectrumTrace:
+def load_trace(source) -> SpectrumTrace:
     """Parse a trace from a path, byte stream, or text.
 
-    Malformed rows are rejected with their line number; frequencies must be
-    strictly increasing.
+    A ``Path`` is always a file. A ``str`` is CSV text when it contains a
+    newline or starts with ``#`` or with the header, and a file name
+    otherwise. Malformed rows are rejected with their line number;
+    frequencies must be strictly increasing.
     """
-    if fmt != "csv":
-        raise ValidationError(f"unsupported trace format {fmt!r}")
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
+    if isinstance(source, str) and "\n" not in source:
+        if not source.lstrip().lower().startswith(("#", _HEADER)):
+            source = Path(source)
+    if isinstance(source, Path):
+        text = source.read_text(encoding="utf-8")
     elif isinstance(source, bytes):
         text = source.decode("utf-8")
     elif hasattr(source, "read"):
@@ -218,10 +221,8 @@ def load_trace(source, fmt: str = "csv") -> SpectrumTrace:
             continue
         if not header_seen:
             columns = [c.strip().lower() for c in stripped.split(",")]
-            if columns != ["frequency_hz", "power_dbm"]:
-                raise TraceParseError(
-                    f"expected header 'frequency_hz,power_dbm', got {stripped!r}", lineno
-                )
+            if columns != _HEADER.split(","):
+                raise TraceParseError(f"expected header {_HEADER!r}, got {stripped!r}", lineno)
             header_seen = True
             continue
         parts = stripped.split(",")
@@ -240,7 +241,7 @@ def load_trace(source, fmt: str = "csv") -> SpectrumTrace:
         freqs.append(f)
         powers.append(p)
     if not header_seen:
-        raise TraceParseError("missing 'frequency_hz,power_dbm' header", 1)
+        raise TraceParseError(f"missing {_HEADER!r} header", 1)
     if not freqs:
         raise TraceParseError("no data rows", 1)
     return SpectrumTrace(np.array(freqs), np.array(powers), rbw_hz, label)
@@ -505,7 +506,7 @@ def grid_hz(start_hz: float, stop_hz: float, step_hz: float) -> np.ndarray:
 def synth_trace(
     params: OpoParams,
     which: str = "intensity",
-    grid=None,
+    grid=DEFAULT_GRID_HZ,
     noise_db: float = 0.0,
     seed: int = 0,
     rbw_hz: float = 30e3,
@@ -516,8 +517,8 @@ def synth_trace(
     ``grid`` is either a (start_hz, stop_hz, step_hz) triple or an explicit
     frequency array; the phase model requires strictly positive frequencies.
     """
-    if grid is None:
-        grid = (0.5e6, 10.0e6, 30e3)
+    if not noise_db >= 0.0:
+        raise ValidationError(f"noise_db must be non-negative, got {noise_db}")
     if isinstance(grid, tuple) and len(grid) == 3:
         nu = grid_hz(*grid)
     else:

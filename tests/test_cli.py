@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twinbeam import cli, tracefit
+from twinbeam.errors import TraceParseError
 from twinbeam.spectra import OpoParams
 
 
@@ -61,6 +62,12 @@ class TestLimits:
 
     def test_bound_from_config(self):
         assert run("limits", "--n-max", "99") == cli.EXIT_VALIDATION
+
+    def test_negative_n_max_rejected(self, capsys):
+        assert run("limits", "--n-max", "-3") == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_max -3" in captured.err
 
 
 class TestSpectra:
@@ -214,6 +221,15 @@ class TestSynth:
         assert fit.xi == pytest.approx(0.5, rel=1e-6)
         assert fit.delta_hz == pytest.approx(4.3e6, rel=1e-6)
 
+    def test_negative_noise_rejected(self, tmp_path, capsys):
+        out = tmp_path / "synth.csv"
+        assert run(
+            "synth", "--xi", "0.5", "--delta-hz", "4.3e6", "--s0-dbm", "-79.5",
+            "--noise-db", "-1", "--output", str(out),
+        ) == cli.EXIT_VALIDATION
+        assert "noise_db" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, capsys):
         args = (
             "synth", "--xi", "0.72", "--delta-hz", "2.98e6", "--s0-dbm", "-79",
@@ -227,11 +243,93 @@ class TestSynth:
 
 
 class TestConfig:
+    @pytest.fixture()
+    def trace_path(self, tmp_path):
+        params = OpoParams.from_correlation(0.72, 2.98e6, -79.0)
+        path = tmp_path / "t.csv"
+        tracefit.save_trace(tracefit.synth_trace(params, "intensity", noise_db=0.05), path)
+        return path
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        return str(path)
+
     def test_defaults_load(self):
-        config = cli.load_config(None)
-        assert config["trace_fit.weight_space"] == "db"
-        assert cli._config_floats(config, "trace_fit.fit_window_hz", 2)[0] == 2e6
-        assert cli._config_bands(config, "trace_fit.exclusions_hz") == ((3.8e6, 4.0e6),)
+        assert cli.load_config(None) == {
+            "fock.cutoff": 8,
+            "fock.max_n": 10,
+            "trace_fit.fit_window_hz": (2e6, np.inf),
+            "trace_fit.exclusions_hz": ((3.8e6, 4.0e6),),
+            "trace_fit.max_iterations": 200,
+            "trace_fit.convergence_tol": 1e-12,
+            "trace_fit.weight_space": "db",
+            "cli.grid_hz": (0.5e6, 10e6, 30e3),
+        }
+
+    def test_file_values_are_typed(self, tmp_path):
+        config = cli.load_config(self.write(tmp_path, (
+            "# comment\n"
+            "fock.cutoff = 5  # trailing comment\n"
+            "trace_fit.fit_window_hz = 1e6, 9e6\n"
+            "trace_fit.exclusions_hz = 3e6:3.1e6; 5e6:5.2e6\n"
+            "trace_fit.max_iterations = 50\n"
+            "trace_fit.weight_space = linear\n"
+            "cli.grid_hz = 1e6, 2e6, 1e5\n"
+        )))
+        assert config["fock.cutoff"] == 5
+        assert config["fock.max_n"] == 10
+        assert config["trace_fit.fit_window_hz"] == (1e6, 9e6)
+        assert config["trace_fit.exclusions_hz"] == ((3e6, 3.1e6), (5e6, 5.2e6))
+        assert config["trace_fit.max_iterations"] == 50
+        assert config["trace_fit.convergence_tol"] == 1e-12
+        assert config["trace_fit.weight_space"] == "linear"
+        assert config["cli.grid_hz"] == (1e6, 2e6, 1e5)
+
+    def test_empty_exclusions_mean_none(self, tmp_path):
+        config = cli.load_config(self.write(tmp_path, "trace_fit.exclusions_hz =\n"))
+        assert config["trace_fit.exclusions_hz"] == ()
+
+    def test_partial_config_keeps_defaults(self, tmp_path, trace_path, capsys):
+        config = self.write(tmp_path, "trace_fit.max_iterations = 150\n")
+        assert run("--config", config, "fit", "--trace", str(trace_path),
+                   "--output-prefix", str(tmp_path / "p")) == 0
+        capsys.readouterr()
+        assert run("--config", config, "spectra", "--xi", "0.72", "--delta-hz", "2.98e6",
+                   "--s0-dbm", "-79") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 317  # the default grid
+
+    @pytest.mark.parametrize("line", [
+        "trace_fit.max_iterations = lots",
+        "fock.cutoff = eight",
+        "trace_fit.convergence_tol =",
+        "trace_fit.exclusions_hz = 3e6-4e6",
+        "trace_fit.fit_window_hz = 2e6",
+        "cli.grid_hz = 1e6, 2e6, x",
+    ])
+    def test_unparsable_value_names_its_line(self, tmp_path, trace_path, line, capsys):
+        config = self.write(tmp_path, f"# strict\n{line}\n")
+        with pytest.raises(TraceParseError) as err:
+            cli.load_config(config)
+        assert err.value.line == 2
+        assert run("--config", config, "fit", "--trace", str(trace_path),
+                   "--output-prefix", str(tmp_path / "q")) == cli.EXIT_PARSE
+        assert "line 2:" in capsys.readouterr().err
+
+    def test_unknown_key(self, tmp_path, capsys):
+        config = self.write(tmp_path, "trace_fit.max_iteration = 100\n")
+        assert run("--config", config, "limits", "--n-max", "2") == cli.EXIT_PARSE
+        assert "unknown config key 'trace_fit.max_iteration'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "trace_fit.weight_space = log",
+        "trace_fit.exclusions_hz = 4e6:3e6",
+        "trace_fit.fit_window_hz = 5e6, 2e6",
+    ])
+    def test_domain_rule_is_validation_error(self, tmp_path, trace_path, line):
+        config = self.write(tmp_path, line + "\n")
+        assert run("--config", config, "fit", "--trace", str(trace_path),
+                   "--output-prefix", str(tmp_path / "r")) == cli.EXIT_VALIDATION
 
     def test_flags_override_file(self, tmp_path):
         # window from file would exclude everything; the flag rescues the fit

@@ -1,5 +1,7 @@
 """Trace ingestion, floor subtraction, fitting, and prediction tests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,24 @@ class TestLoadTrace:
     def test_missing_header(self):
         with pytest.raises(TraceParseError):
             tracefit.load_trace("1000000,-80.0\n1030000,-80.2\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("frequency_hz,power_dbm", "no data rows"),
+        ("# rbw_hz=30000", "missing"),
+        ("frequency_hz,power_dbm\n1000000,-80.0", None),
+    ])
+    def test_str_with_newline_comment_or_header_is_text(self, text, message):
+        if message is None:
+            assert len(tracefit.load_trace(text)) == 1
+        else:
+            with pytest.raises(TraceParseError, match=message):
+                tracefit.load_trace(text)
+
+    def test_path_is_always_a_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "frequency_hz,power_dbm").write_text(GOOD_CSV)
+        assert len(tracefit.load_trace(Path("frequency_hz,power_dbm"))) == 8
+        assert len(tracefit.load_trace(str(tmp_path / "frequency_hz,power_dbm"))) == 8
 
     def test_grid_point_count(self):
         nu = tracefit.grid_hz(*COARSE_GRID)
@@ -327,3 +347,8 @@ class TestSynth:
 
         with pytest.raises(DomainError):
             tracefit.synth_trace(PARAMS_A, "phase", np.array([0.0, 1e6]))
+
+    @pytest.mark.parametrize("noise_db", [-1.0, float("nan")])
+    def test_negative_noise_rejected(self, noise_db):
+        with pytest.raises(ValidationError, match="noise_db"):
+            tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, noise_db)
