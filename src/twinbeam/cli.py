@@ -12,7 +12,7 @@ Physical defaults are written once, in code (see DEFAULTS). A --config file
 of ``key = value`` lines overrides them key by key; explicit flags win over
 the file.
 
-Exit codes: 0 success, 2 usage error, 3 file/trace parse error,
+Exit codes: 0 success, 2 usage error, 3 file or parse error,
 4 validation or domain error, 5 fit convergence failure.
 """
 
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         return args.func(args, config)
-    except (TraceParseError, FileNotFoundError) as exc:
+    except (TraceParseError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FitConvergenceError as exc:

@@ -114,19 +114,21 @@ def csv_table(columns: dict, comments=(), trailer=()) -> str:
     """``# `` comment lines, the header, one row per sample, ``# `` trailer lines.
 
     The first column is written with FREQUENCY_FORMAT, the others with
-    VALUE_FORMAT; a str column repeats on every row.
+    VALUE_FORMAT; a str column repeats on every row. All rows are formatted
+    by one ``%`` operation on the row template repeated once per sample.
     """
-    cells, lists = [], []
+    cells, numeric = [], []
     for i, values in enumerate(columns.values()):
         if isinstance(values, str):
-            cells.append(values.replace("{", "{{").replace("}", "}}"))
+            cells.append(values.replace("%", "%%"))
         else:
-            cells.append("{:" + (VALUE_FORMAT if i else FREQUENCY_FORMAT) + "}")
-            lists.append(np.asarray(values).tolist())
+            cells.append("%" + (VALUE_FORMAT if i else FREQUENCY_FORMAT))
+            numeric.append(np.asarray(values, dtype=float))
     row = ",".join(cells) + "\n"
     head = "".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\n"
     tail = "".join(f"# {line}\n" for line in trailer)
-    return head + "".join(map(row.format, *lists)) + tail
+    flat = tuple(np.column_stack(numeric).ravel().tolist())
+    return head + (row * len(numeric[0])) % flat + tail
 
 
 # ---------------------------------------------------------------------------

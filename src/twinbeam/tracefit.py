@@ -15,6 +15,8 @@ header, then one sample per line with strictly increasing frequencies.
 
 from __future__ import annotations
 
+import io
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +39,11 @@ MODULATION_SPUR_BAND_HZ = (3.8e6, 4.0e6)
 DEFAULT_GRID_HZ = (0.5e6, 10.0e6, 30e3)
 
 _HEADER = "frequency_hz,power_dbm"
+#: Where ``np.loadtxt`` and the per-line loop part ways: ``str.splitlines``
+#: also breaks lines at these characters (and at a lone \r), and
+#: ``loadtxt`` skips \x1c-\x1f around a field, which ``float`` refuses.
+_LOOP_ONLY_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+_NOT_NEWLINE = re.compile("[^\r\n]")
 _N_PARAMS = 3
 _XI_MIN = 1e-9
 _LAMBDA0 = 1e-3
@@ -200,7 +207,66 @@ def load_trace(source) -> SpectrumTrace:
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     else:
         text = str(source)
+    return SpectrumTrace(*(_parse_fast(text) or _parse_lines(text)))
 
+
+def _metadata(meta: str, rbw_hz: float, label: str) -> tuple[float, str]:
+    """``(rbw_hz, label)`` after one ``#`` line's text; ValueError on a bad rbw_hz."""
+    if meta.startswith("rbw_hz="):
+        return float(meta.split("=", 1)[1]), label
+    if meta.startswith("label="):
+        return rbw_hz, meta.split("=", 1)[1]
+    return rbw_hz, label
+
+
+def _is_header(stripped: str) -> bool:
+    return [c.strip().lower() for c in stripped.split(",")] == _HEADER.split(",")
+
+
+def _parse_fast(text: str):
+    """``_parse_lines(text)`` of a well-formed trace in one ``np.loadtxt``
+    call, or None on any failure or doubt; it never raises TraceParseError.
+
+    The ``#`` lines before the header are read one by one, the body in C.
+    Text where ``np.loadtxt`` and the loop could split lines or fields apart
+    goes to the loop, as does a body with ``#`` lines (``loadtxt`` rejects
+    them) or none but blank lines.
+    """
+    if any(c in text for c in _LOOP_ONLY_CHARS):
+        return None
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    stream = io.StringIO(text)
+    rbw_hz, label = 0.0, ""
+    for line in iter(stream.readline, ""):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if not stripped.startswith("#"):
+            break
+        try:
+            rbw_hz, label = _metadata(stripped.lstrip("#").strip(), rbw_hz, label)
+        except ValueError:
+            return None
+    else:
+        return None
+    # np.loadtxt warns on a body of blank lines
+    if not _is_header(stripped) or not _NOT_NEWLINE.search(text, stream.tell()):
+        return None
+    try:
+        data = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (len(data) == 0 or data.shape[1] != 2 or not np.isfinite(data).all()
+            or not (np.diff(data[:, 0]) > 0.0).all()):
+        return None
+    freqs, powers = data.T.copy()
+    return freqs, powers, rbw_hz, label
+
+
+def _parse_lines(text: str):
+    """``(freqs, powers, rbw_hz, label)`` from a line-by-line walk of ``text``:
+    the only source of TraceParseError and its line numbers."""
     rbw_hz, label = 0.0, ""
     freqs: list[float] = []
     powers: list[float] = []
@@ -211,17 +277,13 @@ def load_trace(source) -> SpectrumTrace:
             continue
         if stripped.startswith("#"):
             meta = stripped.lstrip("#").strip()
-            if meta.startswith("rbw_hz="):
-                try:
-                    rbw_hz = float(meta.split("=", 1)[1])
-                except ValueError:
-                    raise TraceParseError(f"bad rbw_hz value {meta!r}", lineno) from None
-            elif meta.startswith("label="):
-                label = meta.split("=", 1)[1]
+            try:
+                rbw_hz, label = _metadata(meta, rbw_hz, label)
+            except ValueError:
+                raise TraceParseError(f"bad rbw_hz value {meta!r}", lineno) from None
             continue
         if not header_seen:
-            columns = [c.strip().lower() for c in stripped.split(",")]
-            if columns != _HEADER.split(","):
+            if not _is_header(stripped):
                 raise TraceParseError(f"expected header {_HEADER!r}, got {stripped!r}", lineno)
             header_seen = True
             continue
@@ -244,7 +306,7 @@ def load_trace(source) -> SpectrumTrace:
         raise TraceParseError(f"missing {_HEADER!r} header", 1)
     if not freqs:
         raise TraceParseError("no data rows", 1)
-    return SpectrumTrace(np.array(freqs), np.array(powers), rbw_hz, label)
+    return np.array(freqs), np.array(powers), rbw_hz, label
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +347,6 @@ def subtract_noise_floor(
 # ---------------------------------------------------------------------------
 # Model, Jacobian, and the damped least-squares loop
 # ---------------------------------------------------------------------------
-
-
-def model_dbm(nu_hz, s0_dbm: float, xi: float, delta_hz: float):
-    return s0_dbm + 10.0 * np.log10(spectra.intensity_diff_spectrum(np.asarray(nu_hz) / delta_hz, xi))
 
 
 def _model_and_jacobian(nu, params):

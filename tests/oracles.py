@@ -103,3 +103,19 @@ def poisson_tail(mean: float, cutoff: int) -> float:
             log_term += math.log(mean) - math.log(n)
         terms.append(math.exp(log_term))
     return max(0.0, 1.0 - math.fsum(terms))
+
+
+def csv_table_per_row(columns: dict, comments=(), trailer=()) -> str:
+    """The toolkit's CSV table as one ``str.format`` call per row: the first
+    column in ``.10g``, the others in ``.12g``, a str column on every row."""
+    cells, lists = [], []
+    for i, values in enumerate(columns.values()):
+        if isinstance(values, str):
+            cells.append(values.replace("{", "{{").replace("}", "}}"))
+        else:
+            cells.append("{:.12g}" if i else "{:.10g}")
+            lists.append(np.asarray(values).tolist())
+    row = ",".join(cells) + "\n"
+    head = "".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\n"
+    tail = "".join(f"# {line}\n" for line in trailer)
+    return head + "".join(map(row.format, *lists)) + tail

@@ -154,6 +154,25 @@ class TestFitCommand:
         bad.write_text("frequency_hz,power_dbm\n10,-80\n5,-81\n")
         assert run("fit", "--trace", str(bad), "--output-prefix", str(tmp_path / "x")) == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("flag,content", [
+        ("--trace", b"frequency_hz,power_dbm\n1e6,-80\xff\n"),
+        ("--trace", None),
+        ("--config", None),
+        ("--config", b"fock.cutoff = 5\xff\n"),
+    ])
+    def test_unreadable_file_exit_code(self, tmp_path, trace_path, capsys, flag, content):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        config = ["--config", str(path)] if flag == "--config" else []
+        trace = path if flag == "--trace" else trace_path
+        code = run(*config, "fit", "--trace", str(trace), "--output-prefix", str(tmp_path / "w"))
+        assert code == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--exclude", "3e6-4e6"), ("--guess", "-80,0.5"), ("--phase-grid", "1e6,2e6,x"),
     ])

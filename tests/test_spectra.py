@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import csv_table_per_row
 from twinbeam import spectra
 from twinbeam.errors import DomainError, ValidationError
 
@@ -213,3 +214,34 @@ class TestQuadratureBridge:
         for u in (0.1, 0.5, 1.0, 5.0):
             for xi in (0.25, 0.72, 1.0):
                 validate_covariance(spectra.opo_quadrature_covariance(u, xi))
+
+
+class TestCsvTable:
+    any_float = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1e308, -1e308, 1.7976931348623157e308, 123456789.0123456789]),
+    )
+    free_text = st.text(alphabet="ab %{}d=,.-", max_size=8)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(any_float, any_float, any_float), max_size=30),
+           unit=free_text, comments=st.lists(free_text, max_size=2),
+           trailer=st.lists(free_text, max_size=2))
+    def test_matches_per_row_format(self, rows, unit, comments, trailer):
+        a, b, c = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+        columns = {"frequency_hz": np.array(a), "value": b, "unit": unit, "extra": np.array(c)}
+        assert spectra.csv_table(columns, comments, trailer) == csv_table_per_row(
+            columns, comments, trailer)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=20))
+    def test_int_column_matches_per_row_format(self, n):
+        columns = {"n": np.array(n), "root": np.sqrt(np.abs(np.array(n, dtype=float)))}
+        assert spectra.csv_table(columns) == csv_table_per_row(columns)
+
+    def test_percent_and_braces_in_str_column(self):
+        columns = {"frequency_hz": [1e6, 2e6], "value": [0.5, 0.25], "unit": "100%{x}%%s"}
+        assert spectra.csv_table(columns, ["c %s {}"], ["t %d"]) == (
+            "# c %s {}\nfrequency_hz,value,unit\n"
+            "1000000,0.5,100%{x}%%s\n2000000,0.25,100%{x}%%s\n# t %d\n")

@@ -1,9 +1,12 @@
 """Trace ingestion, floor subtraction, fitting, and prediction tests."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import tracefit
 from twinbeam.errors import FitConvergenceError, TraceParseError, ValidationError
@@ -103,6 +106,142 @@ class TestLoadTrace:
         tracefit.save_trace(trace, path)
         back = tracefit.load_trace(path)
         np.testing.assert_allclose(back.powers_dbm, trace.powers_dbm, atol=1e-9)
+
+
+def outcome(parse, text):
+    """What a parser makes of ``text``, comparable bit for bit."""
+    try:
+        freqs, powers, rbw_hz, label = parse(text)
+    except TraceParseError as exc:
+        return "error", str(exc), exc.line
+    return "trace", freqs.tobytes(), powers.tobytes(), repr(rbw_hz), label
+
+
+def loaded(text):
+    trace = tracefit.load_trace(text.encode("utf-8"))
+    return trace.frequencies_hz, trace.powers_dbm, trace.rbw_hz, trace.label
+
+
+def assert_parsers_agree(text):
+    """The vectorised parse, when it answers, and ``load_trace`` give what
+    the per-line loop gives: the same arrays and metadata, or its error."""
+    reference = outcome(tracefit._parse_lines, text)
+    fast = tracefit._parse_fast(text)
+    if fast is not None:
+        assert outcome(lambda _: fast, text) == reference
+    assert outcome(loaded, text) == reference
+    return fast is not None
+
+
+#: Characters that ``str.splitlines`` treats as line breaks beyond \n and \r.
+OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+ALPHABET = "0123456789,.eE+-_# \t\n\r" + OTHER_LINE_BREAKS + "\x1f\uff15"
+FIELDS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(min_value=-1e12, max_value=1e12).map("{:.6g}".format),
+    st.sampled_from(["nan", "inf", "-0", "+5", "1_000", "\uff15", "\u0665", ".5", "5.", "",
+                     " 7 ", "\t8", "0x10", "1e999"]),
+    st.text(alphabet=ALPHABET, max_size=6),
+)
+PREAMBLE = st.lists(st.sampled_from([
+    "", "   ", "# rbw_hz=30000", "# rbw_hz=1e4", "# label=run 3, xi=0.72", "#label=x",
+    "# rbw_hz=oops", "# note", "## rbw_hz=7", "# rbw_hz=nan",
+]), max_size=3)
+HEADERS = st.sampled_from(["frequency_hz,power_dbm"] * 12 + [
+    " FREQUENCY_HZ , Power_dBm ", "frequency_hz,power_dbm,x", "frequency,power", "",
+])
+LINE_ENDS = st.sampled_from(["\n"] * 6 + ["\r\n"] * 2 + ["\r", "\n\n", " \n"]
+                            + list(OTHER_LINE_BREAKS))
+
+
+@st.composite
+def trace_texts(draw):
+    """CSV text near a well-formed trace: increasing rows, some of them with
+    fields, characters, line ends or ``#`` lines from the edge cases of
+    both parsers."""
+    lines = draw(PREAMBLE) + [draw(HEADERS)]
+    count = draw(st.integers(0, 6))
+    freqs = np.cumsum(draw(st.lists(st.floats(1e-3, 1e6), min_size=count, max_size=count)))
+    for f in freqs.tolist():
+        row = f"{f!r},{draw(st.floats(-200.0, 50.0))!r}"
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            row = f"{draw(FIELDS)},{draw(FIELDS)}"
+        elif kind in (1, 2):  # a character inside or beside a field
+            comma = row.index(",")
+            at = draw(st.sampled_from([0, comma, comma + 1, len(row)]) if kind == 1
+                      else st.integers(0, len(row)))
+            row = row[:at] + draw(st.sampled_from(ALPHABET)) + row[at:]
+        lines.append(row)
+    if count and draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(PREAMBLE.map("\n".join)))
+    if draw(st.booleans()):
+        ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    else:
+        ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestParseParity:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(text=trace_texts())
+    def test_fast_path_agrees_with_loop(self, text):
+        assert_parsers_agree(text)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(text=st.text(alphabet=ALPHABET, max_size=60))
+    def test_agree_on_arbitrary_text(self, text):
+        assert_parsers_agree("frequency_hz,power_dbm\n" + text)
+        assert_parsers_agree(text)
+
+    @pytest.mark.parametrize("char", list(OTHER_LINE_BREAKS + "\x1f"))
+    def test_characters_loadtxt_reads_otherwise_go_to_the_loop(self, char):
+        text = f"frequency_hz,power_dbm\n1e6,{char}-80\n2e6,-81\n"
+        assert tracefit._parse_fast(text) is None
+        assert_parsers_agree(text)
+
+    def test_form_feed_inside_a_row_names_its_line(self):
+        with pytest.raises(TraceParseError, match=r"^line 2: non-numeric field in '1e6,'$"):
+            tracefit.load_trace("frequency_hz,power_dbm\n1e6,\x0c-80\n2e6,-81\n")
+
+    def test_metadata_after_the_header(self):
+        text = "frequency_hz,power_dbm\n1e6,-80\n# rbw_hz=1000\n2e6,-81\n"
+        assert tracefit._parse_fast(text) is None
+        assert tracefit.load_trace(text).rbw_hz == 1000.0
+        assert_parsers_agree(text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_wellformed_text_takes_the_vectorised_parse(self, end):
+        text = GOOD_CSV.replace("\n", end)
+        assert tracefit._parse_fast(text) is not None
+        assert assert_parsers_agree(text)
+
+    @pytest.mark.parametrize("text", ["frequency_hz,power_dbm\n", "frequency_hz,power_dbm\n\r\n\n"])
+    def test_header_only_warns_nothing(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceParseError, match="^line 1: no data rows$"):
+                tracefit.load_trace(text)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        freqs=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=40),
+        powers=st.lists(st.floats(-1e308, 1e308), min_size=40, max_size=40),
+        rbw_hz=st.sampled_from([0.0, 30e3, 12345.6789012, 5e-324]),
+        label=st.sampled_from(["", "synthetic intensity", "run 3, \u03be=0.72", "a=b"]),
+    )
+    def test_written_traces_read_back_bit_for_bit(self, freqs, powers, rbw_hz, label):
+        freqs = np.unique([float(f"{f:.10g}") for f in freqs])
+        powers = np.array([float(f"{p:.12g}") for p in powers[: freqs.size]])
+        text = tracefit.trace_to_csv(tracefit.SpectrumTrace(freqs, powers, rbw_hz, label))
+        assert tracefit._parse_fast(text) is not None
+        back = tracefit.load_trace(text)
+        assert back.frequencies_hz.tobytes() == freqs.tobytes()
+        assert back.powers_dbm.tobytes() == powers.tobytes()
+        assert back.rbw_hz == float(f"{rbw_hz:.10g}")
+        assert back.label == label
 
 
 class TestNoiseFloor:
