@@ -9,8 +9,6 @@ one and a :class:`~twinbeam.errors.CapacityError` is raised.
 
 from __future__ import annotations
 
-import cmath
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -246,60 +244,60 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
 # Photon-number sectors of a two-mode passive optic
 #
 # The creation-operator map a+ -> alpha c+ + beta d+, b+ -> gamma c+ + delta d+
-# conserves the pair's total photon number n, so its unitary is block
+# conserves the pair's total photon number n, so its unitary U is block
 # diagonal: sector n carries the n-photon representation of the 2x2 mode
-# matrix M = [[alpha, beta], [gamma, delta]] on the basis |j, n-j>. With
-# M = exp(iH)^T for a Hermitian H, the unitary is exp(i dGamma(H)), and
-# dGamma(H) = sum_kl H_kl a_k+ a_l is tridiagonal in each sector.
-# (Yurke, McCall & Klauder, PRA 33, 4033 (1986); Campos, Saleh & Teich,
-# PRA 40, 1371 (1989).)
+# matrix M = [[alpha, beta], [gamma, delta]] on the basis |j, n-j>. Sector n
+# follows from sector n-1 through the one-photon identity
+#   n |k, n-k> = sqrt(k) a+ |k-1, n-k> + sqrt(n-k) b+ |k, n-k-1>,
+# pushed through U (U a+ U^dag = alpha c+ + beta d+, likewise b+):
+#   n B_n[j, k] = sqrt(k)   (alpha sqrt(j) B[j-1, k-1] + beta  sqrt(n-j) B[j, k-1])
+#               + sqrt(n-k) (gamma sqrt(j) B[j-1, k]   + delta sqrt(n-j) B[j, k])
+# with B = B_{n-1}. This is Risbo's recursion for the Wigner d-functions
+# (Risbo, J. Geodesy 70, 383 (1996)) in creation operators. It is stable
+# because it averages over both indices; the two-term column recursion
+# U|k, m> = (alpha c+ + beta d+) U|k-1, m> / sqrt(k) cancels like the
+# alternating binomial sums (unitarity off by 6e-9 at cutoff 60, 79 at 120).
 # Sectors with n above the cutoff cannot be represented exactly under the
 # truncation; they are left as the identity and callers must keep state
 # support out of them.
 # ---------------------------------------------------------------------------
 
 
-def _mode_generator(alpha, beta, gamma, delta) -> tuple[float, complex, float]:
-    """(H_00, H_01, H_11) of the Hermitian H with exp(iH)^T = [[alpha, beta], [gamma, delta]].
-
-    exp(iH) = e^{i psi/2} (cos t + i sin t n.sigma) with psi the phase of the
-    determinant; the branch of e^{i psi/2} is chosen so that cos t >= 0,
-    which keeps t / sin t bounded by pi / 2.
-    """
-    psi = cmath.phase(alpha * delta - beta * gamma)
-    w = cmath.exp(-0.5j * psi)
-    w00, w01, w10, w11 = alpha * w, gamma * w, beta * w, delta * w
-    if (w00 + w11).real < 0.0:
-        w00, w01, w10, w11, psi = -w00, -w01, -w10, -w11, psi + 2.0 * math.pi
-    cos_t = 0.5 * (w00 + w11).real
-    nx, ny, nz = 0.5 * (w01 + w10).imag, 0.5 * (w01 - w10).real, 0.5 * (w00 - w11).imag
-    sin_t = math.hypot(nx, ny, nz)
-    scale = math.atan2(sin_t, cos_t) / sin_t if sin_t > 0.0 else 1.0
-    return 0.5 * psi + scale * nz, scale * complex(nx, -ny), 0.5 * psi - scale * nz
-
-
 def pair_unitary(alpha, beta, gamma, delta, dim) -> np.ndarray:
     """Sector blocks of a two-mode passive optic, stacked to shape (dim, dim, dim).
 
     Block n maps |k, n-k> to |j, n-j> in its leading (n+1) x (n+1) corner;
-    the padding beyond it carries the identity. The diagonal gauge
-    |j> -> e^{ij phi}|j>, phi = arg H_01, makes every sector's generator
-    real symmetric, so all sectors are exponentiated by one batched eigh on
-    the zero-padded stack.
+    the padding beyond it carries the identity. Blocks are built one sector
+    at a time by the recursion above, in O(dim^3) work, for any 2x2 mode
+    matrix; they are as unitary as that matrix is (a deviation e of M^dag M
+    from the identity grows to about n e in sector n).
     """
-    h00, h01, h11 = _mode_generator(alpha, beta, gamma, delta)
-    n = np.arange(dim)[:, None]
-    j = np.arange(dim)
-    gen = np.zeros((dim, dim, dim))
-    gen[:, j, j] = np.where(j <= n, h00 * j + h11 * (n - j), 0.0)
-    hop = abs(h01) * np.sqrt((j[:-1] + 1) * np.maximum(n - j[:-1], 0))
-    gen[:, j[1:], j[:-1]] = hop
-    gen[:, j[:-1], j[1:]] = hop
-    eigvals, eigvecs = np.linalg.eigh(gen)
-    blocks = np.empty((dim, dim, dim), dtype=np.complex128)
-    np.matmul(eigvecs * np.cos(eigvals)[:, None, :], eigvecs.transpose(0, 2, 1), out=blocks.real)
-    np.matmul(eigvecs * np.sin(eigvals)[:, None, :], eigvecs.transpose(0, 2, 1), out=blocks.imag)
-    blocks *= np.exp(1j * cmath.phase(h01) * (j[:, None] - j))
+    # Term (r, c) of the recursion reads B[j - 1 + r, k - 1 + c] with weight
+    # M[c, r] * sqrt|j - r n| * sqrt|k - c n|; root[dim - 1 + i] = sqrt|i|,
+    # so sector n's weights are one strided view of this C-ordered array.
+    coefficients = np.array([[alpha, gamma], [beta, delta]], dtype=np.complex128)
+    root = np.sqrt(np.abs(np.arange(1 - dim, dim)))
+    weights = np.multiply.outer(coefficients, np.multiply.outer(root, root))
+    wr, wc, wx, wy = weights.strides
+    blocks = np.zeros((dim, dim, dim), dtype=np.complex128)
+    # the diagonals of all blocks: ones beyond each sector's corner
+    blocks.reshape(dim, dim * dim)[:, :: dim + 1] = 1.0 - np.tri(dim)
+    blocks[0, 0, 0] = 1.0
+    # Block n - 1 with a zero border; its four (n+1) x (n+1) windows are the
+    # four shifted terms.
+    prev = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
+    prev[1, 1] = 1.0
+    px, py = prev.strides
+    terms = np.empty(4 * dim * dim, dtype=np.complex128)
+    for n in range(1, dim):
+        shape = (2, 2, n + 1, n + 1)
+        window = np.ndarray(shape, np.complex128, prev, 0, (px, py, px, py))
+        weight = np.ndarray(shape, np.complex128, weights, (dim - 1) * (wx + wy),
+                            (wr - n * wx, wc - n * wy, wx, wy))
+        block = blocks[n, : n + 1, : n + 1]
+        np.multiply(weight, window, out=terms[: window.size].reshape(shape)).sum((0, 1), out=block)
+        block /= n
+        prev[1 : n + 2, 1 : n + 2] = block
     return blocks
 
 

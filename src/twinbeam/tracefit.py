@@ -66,6 +66,12 @@ class SpectrumTrace:
         powers = np.atleast_1d(np.asarray(self.powers_dbm, dtype=float))
         if freqs.shape != powers.shape or freqs.ndim != 1:
             raise ValidationError("frequency and power arrays must be 1-d and equal length")
+        if self.label and self.label.splitlines() != [self.label]:
+            raise ValidationError(f"label must be one line, got {self.label!r}")
+        try:
+            self.label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"label is not UTF-8 text: {self.label!r}") from None
         if freqs.size >= 2 and np.any(np.diff(freqs) <= 0.0):
             bad = int(np.nonzero(np.diff(freqs) <= 0.0)[0][0])
             raise ValidationError(
@@ -210,8 +216,13 @@ def load_trace(source) -> SpectrumTrace:
     return SpectrumTrace(*(_parse_fast(text) or _parse_lines(text)))
 
 
-def _metadata(meta: str, rbw_hz: float, label: str) -> tuple[float, str]:
-    """``(rbw_hz, label)`` after one ``#`` line's text; ValueError on a bad rbw_hz."""
+def _metadata(line: str, rbw_hz: float, label: str) -> tuple[float, str]:
+    """``(rbw_hz, label)`` after one ``#`` line; ValueError on a bad rbw_hz.
+
+    The label is the rest of the line after ``label=``, trailing whitespace
+    included, so every label a :class:`SpectrumTrace` holds reads back as written.
+    """
+    meta = line.lstrip().lstrip("#").lstrip().rstrip("\r\n")
     if meta.startswith("rbw_hz="):
         return float(meta.split("=", 1)[1]), label
     if meta.startswith("label="):
@@ -245,7 +256,7 @@ def _parse_fast(text: str):
         if not stripped.startswith("#"):
             break
         try:
-            rbw_hz, label = _metadata(stripped.lstrip("#").strip(), rbw_hz, label)
+            rbw_hz, label = _metadata(line, rbw_hz, label)
         except ValueError:
             return None
     else:
@@ -276,10 +287,10 @@ def _parse_lines(text: str):
         if not stripped:
             continue
         if stripped.startswith("#"):
-            meta = stripped.lstrip("#").strip()
             try:
-                rbw_hz, label = _metadata(meta, rbw_hz, label)
+                rbw_hz, label = _metadata(line, rbw_hz, label)
             except ValueError:
+                meta = stripped.lstrip("#").strip()
                 raise TraceParseError(f"bad rbw_hz value {meta!r}", lineno) from None
             continue
         if not header_seen:

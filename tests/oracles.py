@@ -76,6 +76,30 @@ def _check_expm_convention(dim: int = 4) -> None:
 _check_expm_convention()
 
 
+def splitter_sector_binomial(mode_map, n: int) -> np.ndarray:
+    """Sector n of the two-mode optic a+ -> m00 c+ + m01 d+, b+ -> m10 c+ + m11 d+.
+
+    Entry (j, k) is <j, n-j| U |k, n-k>, read off the binomial expansion of
+    (m00 c+ + m01 d+)^k (m10 c+ + m11 d+)^(n-k) |0, 0> / sqrt(k! (n-k)!):
+    the term c+^p d+^(k-p) c+^q d+^(n-k-q) lands on |p+q, n-p-q> with weight
+    sqrt((p+q)! (n-p-q)!). Plain Python complex arithmetic, exact enough for
+    n <= 8.
+    """
+    (m00, m01), (m10, m11) = (tuple(complex(x) for x in row) for row in mode_map)
+    block = np.zeros((n + 1, n + 1), dtype=complex)
+    for k in range(n + 1):
+        for p in range(k + 1):
+            for q in range(n - k + 1):
+                j = p + q
+                coeff = (math.comb(k, p) * math.comb(n - k, q)
+                         * m00**p * m01 ** (k - p) * m10**q * m11 ** (n - k - q))
+                block[j, k] += coeff * math.sqrt(
+                    math.factorial(j) * math.factorial(n - j)
+                    / (math.factorial(k) * math.factorial(n - k))
+                )
+    return block
+
+
 def number_difference_variance(probabilities: np.ndarray, dim: int) -> float:
     """Var(n_1 - n_2) from a flat two-mode probability vector."""
     n1, n2 = np.divmod(np.arange(dim * dim), dim)

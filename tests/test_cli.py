@@ -1,9 +1,13 @@
 """Command-line interface tests: subcommands, exit codes, config precedence."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import cli, tracefit
 from twinbeam.errors import TraceParseError
@@ -249,6 +253,25 @@ class TestSynth:
         assert "noise_db" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("char", list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_label_with_line_break_rejected(self, tmp_path, capsys, char):
+        out = tmp_path / "lab.csv"
+        assert run(
+            "synth", "--xi", "0.7", "--delta-hz", "3e6", "--s0-dbm", "-80",
+            "--label", f"run{char}B", "--output", str(out),
+        ) == cli.EXIT_VALIDATION
+        assert "label must be one line" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_that_is_not_utf8_rejected(self, tmp_path, capsys):
+        out = tmp_path / "lab.csv"
+        assert run(
+            "synth", "--xi", "0.7", "--delta-hz", "3e6", "--s0-dbm", "-80",
+            "--label", "run\udcffB", "--output", str(out),
+        ) == cli.EXIT_VALIDATION
+        assert "label is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, capsys):
         args = (
             "synth", "--xi", "0.72", "--delta-hz", "2.98e6", "--s0-dbm", "-79",
@@ -259,6 +282,28 @@ class TestSynth:
         first = capsys.readouterr().out
         assert run(*args) == 0
         assert capsys.readouterr().out == first
+
+
+CONFIG_KEYS = [*cli.DEFAULTS, "fock.", "trace_fit.cutoff", "unknown.key", ""]
+CONFIG_VALUES = ["=", ":", ",", "-", ";", "#", " ", "\t", "inf", "-inf", "nan", "0", "1", "-3",
+                 "2.5e6", "1e400", "9" * 4400, "1_0", "db", "linear", "\u0663"]
+
+
+def _joined(parts):
+    return st.lists(parts, max_size=5).map(b"".join)
+
+
+CONFIG_LINES = st.one_of(
+    st.sampled_from([b"fock.max_n = 0", b"fock.max_n = 3", b"# note", b"",
+                     b"trace_fit.exclusions_hz =", b"cli.grid_hz = 1e6, 2e6, 1e5"]),
+    st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from([" = ", "=", ":", " "]))
+    .map(lambda kv: "".join(kv).encode())
+    .flatmap(lambda head: _joined(st.one_of(
+        st.sampled_from(CONFIG_VALUES).map(str.encode), st.binary(max_size=2)
+    )).map(lambda value: head + value)),
+    _joined(st.one_of(st.sampled_from(CONFIG_KEYS + CONFIG_VALUES).map(str.encode),
+                      st.binary(max_size=3))),
+)
 
 
 class TestConfig:
@@ -273,6 +318,16 @@ class TestConfig:
         path = tmp_path / "c.cfg"
         path.write_text(text)
         return str(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lines=st.lists(CONFIG_LINES, max_size=6))
+    def test_any_config_text_maps_to_an_exit_code(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_bytes(b"\n".join(lines))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli.main(["--config", str(path), "limits", "--n-max", "1"])
+        assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION)
 
     def test_defaults_load(self):
         assert cli.load_config(None) == {

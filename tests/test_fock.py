@@ -299,6 +299,24 @@ class TestInvariants:
             blocks = fock.pair_unitary(*self.coefficients(fock.BALANCED_ANGLE, convention), 121)
             assert self.block_unitarity_error(blocks) <= 1e-13
 
+    def test_pair_unitary_blocks_unitary_at_cutoff_200(self):
+        for convention in (fock.SYMMETRIC_I, fock.ROTATION):
+            blocks = fock.pair_unitary(*self.coefficients(fock.BALANCED_ANGLE, convention), 201)
+            assert self.block_unitarity_error(blocks) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_pair_unitary_general_u2_matches_binomial_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        assert abs(np.linalg.det(q) - 1.0) > 1e-3
+        dim = 8
+        blocks = fock.pair_unitary(q[0, 0], q[0, 1], q[1, 0], q[1, 1], dim)
+        assert self.block_unitarity_error(blocks) <= 1e-13
+        for n in range(dim):
+            reference = oracles.splitter_sector_binomial(q, n)
+            err = np.abs(blocks[n, : n + 1, : n + 1] - reference).max()
+            assert err <= 1e-12, (seed, n, err)
+
     def test_pair_unitary_matches_expm_oracle(self):
         dim = 6
         for theta in np.linspace(0.0, 2.0 * np.pi, 17):
@@ -312,7 +330,7 @@ class TestInvariants:
                     assert err <= 1e-12, (theta, convention, n, err)
 
     @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
-    @pytest.mark.parametrize("n", [20, 24, 28, 30])
+    @pytest.mark.parametrize("n", [20, 24, 28, 30, 40, 50])
     def test_twin_fock_variance_to_n_30(self, n, convention):
         out = fock.apply_beam_splitter(fock.make_fock([n, n], cutoff=2 * n), convention=convention)
         assert abs(out.norm() - 1.0) <= 1e-12

@@ -244,6 +244,32 @@ class TestParseParity:
         assert back.label == label
 
 
+LABEL_BREAKS = "\n\r" + OTHER_LINE_BREAKS
+
+
+class TestTraceLabel:
+    @pytest.mark.parametrize("char", list(LABEL_BREAKS))
+    def test_line_break_in_label_rejected(self, char):
+        with pytest.raises(ValidationError, match="label must be one line"):
+            tracefit.SpectrumTrace([1e6, 2e6], [-80.0, -81.0], 30e3, f"run{char}B")
+
+    def test_label_that_is_not_utf8_rejected(self):
+        with pytest.raises(ValidationError, match="label is not UTF-8 text"):
+            tracefit.SpectrumTrace([1e6, 2e6], [-80.0, -81.0], 30e3, "run\udcffB")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(label=st.text(st.one_of(st.sampled_from(LABEL_BREAKS + " \t\x1f#=,\udcff"),
+                                   st.characters()), max_size=12))
+    def test_every_accepted_label_reads_back(self, label):
+        try:
+            trace = tracefit.synth_trace(PARAMS_A, "intensity", (1e6, 2e6, 5e5), label=label)
+        except ValidationError:
+            assert label.splitlines() != [label] or "\udcff" in label
+            return
+        text = tracefit.trace_to_csv(trace)
+        assert tracefit.load_trace(text.encode("utf-8")).label == trace.label
+
+
 class TestNoiseFloor:
     def test_pointwise_linear_subtraction(self):
         signal = flat_trace(-84.5, start=1e6, stop=9e6)
