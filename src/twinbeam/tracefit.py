@@ -5,8 +5,8 @@ in linear power, fits the intensity-difference model
 
     P(nu) = S0_dBm + 10 log10(1 - xi / (1 + (nu/delta)^2))
 
-by deterministic damped least squares, and predicts the phase-difference
-trace from the same three parameters with no extra freedom.
+by deterministic, bounded damped least squares, and predicts the
+phase-difference trace from the same three parameters with no extra freedom.
 
 Trace CSV format: UTF-8, optional ``#`` comment lines carrying
 ``# rbw_hz=...`` and ``# label=...`` metadata, a ``frequency_hz,power_dbm``
@@ -48,6 +48,9 @@ _N_PARAMS = 3
 _XI_MIN = 1e-9
 _LAMBDA0 = 1e-3
 _LAMBDA_FACTOR = 10.0
+_FREE_ALL = slice(None)
+_HOLD_XI = slice(None, None, 2)  # (S0, delta)
+_HOLD_XI_DELTA = slice(0, 1)  # S0 alone
 
 _LOG10_SCALE = 10.0 / np.log(10.0)
 
@@ -360,26 +363,54 @@ def subtract_noise_floor(
 # ---------------------------------------------------------------------------
 
 
-def _model_and_jacobian(nu, params):
+def _model(nu2, params, linear):
+    """The model in the fit's weight space, and the factors r^2, a, m that
+    its Jacobian shares.
+
+    With r = nu/delta, a = 1 + r^2 and m = (1 - xi) + r^2 the dB model is
+    S0 + 10 log10(m/a). Forming 1 - xi before adding r^2 keeps m/a free of
+    the cancellation in 1 - xi/a as xi -> 1.
+    """
     s0, xi, delta = params
-    r2 = (nu / delta) ** 2
-    g = 1.0 - xi / (1.0 + r2)
-    f = s0 + 10.0 * np.log10(g)
-    jac = np.empty((nu.size, 3))
-    jac[:, 0] = 1.0
-    jac[:, 1] = -_LOG10_SCALE / (g * (1.0 + r2))
-    jac[:, 2] = -_LOG10_SCALE * 2.0 * xi * r2 / (g * delta * (1.0 + r2) ** 2)
-    return f, jac
+    r2 = nu2 * (1.0 / (delta * delta))
+    a = 1.0 + r2
+    m = (1.0 - xi) + r2
+    f = np.log10(m / a)
+    f *= 10.0
+    f += s0
+    if linear:
+        f = 10.0 ** (f / 10.0)
+    return f, r2, a, m
 
 
-def _residual_and_jacobian(nu, y_db, params, weight_space):
-    f_db, jac_db = _model_and_jacobian(nu, params)
-    if weight_space == "db":
-        return y_db - f_db, jac_db
-    y_lin = 10.0 ** (y_db / 10.0)
-    f_lin = 10.0 ** (f_db / 10.0)
-    jac_lin = jac_db * (f_lin / _LOG10_SCALE)[:, None]
-    return y_lin - f_lin, jac_lin
+def _jacobian(params, f, r2, a, m, linear):
+    """(3, n) rows of df/d(S0, xi, delta) from :func:`_model`'s factors:
+    1, -(10/ln 10)/m, and the xi row times 2 xi r^2/(delta a). In linear
+    power each row is scaled by f ln(10)/10."""
+    _, xi, delta = params
+    jac = np.empty((_N_PARAMS, r2.size))
+    jac[0] = 1.0
+    np.divide(-_LOG10_SCALE, m, out=jac[1])
+    np.multiply(r2, 2.0 * xi / delta, out=jac[2])
+    jac[2] /= a
+    jac[2] *= jac[1]
+    if linear:
+        jac *= f * (1.0 / _LOG10_SCALE)
+    return jac
+
+
+def _free_params(xi, grad_xi):
+    """The parameters a step moves, as a basic slice of (S0, xi, delta).
+
+    xi is held where it sits on a bound and the gradient J^T r points out of
+    the box, where a step that moved it would only be clamped back. At
+    xi_min delta is held too: the model depends on it only through xi.
+    """
+    if xi >= 1.0 and grad_xi > 0.0:
+        return _HOLD_XI
+    if xi <= _XI_MIN and grad_xi < 0.0:
+        return _HOLD_XI_DELTA
+    return _FREE_ALL
 
 
 def _clamp_params(params, delta_floor):
@@ -401,8 +432,7 @@ def usable_mask(trace: SpectrumTrace, config: FitConfig) -> np.ndarray:
 
 
 def _initial_guess(nu, y_db):
-    order = np.argsort(nu)
-    nu, y_db = nu[order], y_db[order]
+    """Starting (S0, xi, delta) read off a trace with increasing frequencies."""
     top = max(1, nu.size // 4)
     s0 = float(np.median(y_db[-top:]))
     low = float(np.mean(y_db[: min(3, nu.size)]))
@@ -421,13 +451,22 @@ def _initial_guess(nu, y_db):
 
 
 def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None) -> FitResult:
-    """Least-squares fit of (S0, xi, delta) to an intensity-difference trace.
+    """Bounded least-squares fit of (S0, xi, delta) to an intensity-difference trace.
 
-    Damped least squares with a fixed initial damping and multiplicative
-    schedule; fully deterministic for a given trace and config. Residuals
-    are taken in dB with uniform weights by default (config.weight_space
-    switches to linear power). Raises FitConvergenceError with the last
-    iterate when max_iterations is exhausted.
+    Damped least squares (Marquardt) with a fixed initial damping and
+    multiplicative schedule; fully deterministic for a given trace and
+    config. Residuals are taken in dB with uniform weights by default
+    (config.weight_space switches to linear power). Each candidate step
+    costs one model evaluation; the Jacobian is rebuilt only after a step
+    is accepted.
+
+    Bounds: xi in [1e-9, 1] and delta at least 1e-9 of the highest fitted
+    frequency; candidates are clamped into them. Where xi sits on a bound
+    and J^T r points out of it, xi is held (at 1e-9, delta too) and the
+    step is solved for the other parameters.
+
+    Raises FitConvergenceError with the last iterate when max_iterations
+    run out or when no damped step lowers the SSE.
     """
     config = config or FitConfig()
     work = trace
@@ -449,21 +488,39 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     else:
         params = _clamp_params(_initial_guess(nu, y_db), delta_floor)
 
-    res, jac = _residual_and_jacobian(nu, y_db, params, config.weight_space)
+    nu2 = nu * nu
+    linear = config.weight_space == "linear"
+    y = 10.0 ** (y_db / 10.0) if linear else y_db
+    f, *factors = _model(nu2, params, linear)
+    res = y - f
     sse = float(res @ res)
     lam = _LAMBDA0
+    accepted = True  # the normal equations are rebuilt only where params moved
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        jtj = jac.T @ jac
-        jtr = jac.T @ res
-        step = np.linalg.solve(jtj + lam * np.diag(np.diagonal(jtj)), jtr)
-        candidate = _clamp_params(params + step, delta_floor)
-        cand_res, cand_jac = _residual_and_jacobian(nu, y_db, candidate, config.weight_space)
-        cand_sse = float(cand_res @ cand_res)
-        if cand_sse <= sse:
+        if accepted:
+            jac = _jacobian(params, f, *factors, linear)
+            jtj = jac @ jac.T
+            diag = jtj.diagonal().copy()
+            jtr = jac @ res
+            free = _free_params(params[1], jtr[1])
+        jtj.flat[:: _N_PARAMS + 1] = diag * (1.0 + lam)
+        step = np.zeros(_N_PARAMS)
+        accepted = False
+        try:
+            step[free] = np.linalg.solve(jtj[free, free], jtr[free])
+        except np.linalg.LinAlgError:
+            pass  # singular: a parameter the residual no longer sees
+        else:
+            candidate = _clamp_params(params + step, delta_floor)
+            cand_f, *cand_factors = _model(nu2, candidate, linear)
+            cand_res = y - cand_f
+            cand_sse = float(cand_res @ cand_res)
+            accepted = cand_sse <= sse
+        if accepted:
             improvement = sse - cand_sse
-            params, res, jac, sse = candidate, cand_res, cand_jac, cand_sse
+            params, f, factors, res, sse = candidate, cand_f, cand_factors, cand_res, cand_sse
             lam = max(lam / _LAMBDA_FACTOR, 1e-15)
             if improvement <= config.convergence_tol * max(sse, 1e-30) or sse < 1e-28:
                 converged = True
@@ -472,9 +529,10 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
             lam = lam * _LAMBDA_FACTOR
             if lam > 1e15:
                 break
-    if not converged and iterations >= config.max_iterations:
+    if not converged:
+        reason = "no damped step lowers the SSE" if lam > 1e15 else "no convergence"
         raise FitConvergenceError(
-            f"no convergence after {iterations} iterations (sse {sse:.6g}, "
+            f"{reason} after {iterations} iterations (sse {sse:.6g}, "
             f"last params {params.tolist()})",
             last_params=tuple(params),
             iterations=iterations,
@@ -484,8 +542,9 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     if xi_at_boundary:
         warnings.warn("fitted xi pinned at its boundary", stacklevel=2)
     dof = max(nu.size - _N_PARAMS, 1)
-    db_res, _ = _residual_and_jacobian(nu, y_db, params, "db")
-    jtj = jac.T @ jac
+    db_res = y_db - _model(nu2, params, False)[0] if linear else res
+    jac = _jacobian(params, f, *factors, linear)
+    jtj = jac @ jac.T
     try:
         cov = np.linalg.inv(jtj) * (sse / dof)
     except np.linalg.LinAlgError:

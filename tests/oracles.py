@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's combinatorial kernels: the splitter
 unitary is built here from ladder-operator matrices and an eigendecomposition
-exponential, distributions from exact dyadic binomials, and Poisson tails
-from compensated summation.
+exponential, distributions from exact dyadic binomials, Poisson tails
+from compensated summation, and spectrum fits from a grid search and from
+the damped least-squares loop as it stood before the bound step.
 """
 
 import math
@@ -143,3 +144,97 @@ def csv_table_per_row(columns: dict, comments=(), trailer=()) -> str:
     head = "".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\n"
     tail = "".join(f"# {line}\n" for line in trailer)
     return head + "".join(map(row.format, *lists)) + tail
+
+
+def intensity_db(nu, s0, xi, delta):
+    """The intensity-difference model in dBm, in its textbook form."""
+    return s0 + 10.0 * np.log10(1.0 - xi / (1.0 + (nu / delta) ** 2))
+
+
+def bounded_grid_sse(nu, y_db, xi_lo, n_xi, deltas_hz):
+    """Smallest dB-space SSE over a grid of xi in [xi_lo, 1] (n_xi points,
+    both ends included) and the given deltas, with S0 at its closed-form
+    optimum for each (xi, delta): the mean of y_db minus the shape.
+
+    Returns (sse, (s0, xi, delta)) at the best grid point.
+    """
+    nu = np.asarray(nu, dtype=float)
+    y_db = np.asarray(y_db, dtype=float)
+    deltas = np.asarray(deltas_hz, dtype=float)
+    best = (math.inf, None)
+    for xi in np.linspace(xi_lo, 1.0, n_xi):
+        shape = intensity_db(nu[None, :], 0.0, xi, deltas[:, None])
+        offset = y_db - shape
+        s0 = offset.mean(axis=1)
+        sse = ((offset - s0[:, None]) ** 2).sum(axis=1)
+        i = int(np.argmin(sse))
+        if sse[i] < best[0]:
+            best = (float(sse[i]), (float(s0[i]), float(xi), float(deltas[i])))
+    return best
+
+
+def fit_reference_lm(nu, y_db, weight_space="db", max_iterations=200, tol=1e-12):
+    """The damped least-squares loop as it stood before the bounded step:
+    a full Jacobian for every candidate, every parameter free on every step
+    and xi clamped to [1e-9, 1] afterwards. ``nu`` must increase.
+
+    Returns (params, sse in the weight space, iterations); raises
+    RuntimeError when max_iterations run out.
+    """
+    nu = np.asarray(nu, dtype=float)
+    y_db = np.asarray(y_db, dtype=float)
+    log10_scale = 10.0 / math.log(10.0)
+    delta_floor = 1e-9 * float(nu[-1])
+
+    def residual_and_jacobian(params):
+        s0, xi, delta = params
+        r2 = (nu / delta) ** 2
+        g = 1.0 - xi / (1.0 + r2)
+        f_db = s0 + 10.0 * np.log10(g)
+        jac = np.empty((nu.size, 3))
+        jac[:, 0] = 1.0
+        jac[:, 1] = -log10_scale / (g * (1.0 + r2))
+        jac[:, 2] = -log10_scale * 2.0 * xi * r2 / (g * delta * (1.0 + r2) ** 2)
+        if weight_space == "db":
+            return y_db - f_db, jac
+        f_lin = 10.0 ** (f_db / 10.0)
+        return 10.0 ** (y_db / 10.0) - f_lin, jac * (f_lin / log10_scale)[:, None]
+
+    def clamp(params):
+        s0, xi, delta = params
+        return np.array([s0, min(max(xi, 1e-9), 1.0), max(abs(delta), delta_floor)])
+
+    top = max(1, nu.size // 4)
+    s0 = float(np.median(y_db[-top:]))
+    depth = 1.0 - 10.0 ** ((float(np.mean(y_db[: min(3, nu.size)])) - s0) / 10.0)
+    rel = 10.0 ** ((y_db - s0) / 10.0)
+    half_level = 1.0 - depth / 2.0
+    above = np.nonzero(rel >= half_level)[0]
+    if above.size and above[0] > 0:
+        i = above[0]
+        frac = (half_level - rel[i - 1]) / max(rel[i] - rel[i - 1], 1e-30)
+        delta = float(nu[i - 1] + frac * (nu[i] - nu[i - 1]))
+    else:
+        delta = float(nu[0] + (nu[-1] - nu[0]) / 3.0)
+    params = clamp([s0, float(np.clip(depth, 0.05, 0.995)), max(delta, 1e-6 * nu[-1])])
+
+    res, jac = residual_and_jacobian(params)
+    sse = float(res @ res)
+    lam = 1e-3
+    for iterations in range(1, max_iterations + 1):
+        jtj = jac.T @ jac
+        step = np.linalg.solve(jtj + lam * np.diag(np.diagonal(jtj)), jac.T @ res)
+        candidate = clamp(params + step)
+        cand_res, cand_jac = residual_and_jacobian(candidate)
+        cand_sse = float(cand_res @ cand_res)
+        if cand_sse <= sse:
+            improvement = sse - cand_sse
+            params, res, jac, sse = candidate, cand_res, cand_jac, cand_sse
+            lam = max(lam / 10.0, 1e-15)
+            if improvement <= tol * max(sse, 1e-30) or sse < 1e-28:
+                return params, sse, iterations
+        else:
+            lam *= 10.0
+            if lam > 1e15:
+                return params, sse, iterations
+    raise RuntimeError(f"no convergence after {max_iterations} iterations")

@@ -3,12 +3,14 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from twinbeam import cli, tracefit
 from twinbeam.errors import TraceParseError
 from twinbeam.spectra import OpoParams
@@ -201,6 +203,52 @@ class TestFitCommand:
             "--guess=-60,0.1,1e5", "--output-prefix", str(tmp_path / "y"),
         )
         assert code == cli.EXIT_CONVERGENCE
+
+    def test_optimum_on_the_xi_bound_converges(self, tmp_path):
+        # the unconstrained step kept pushing xi into its bound here until
+        # max_iterations ran out (exit 5)
+        trace_path = tmp_path / "stall.csv"
+        assert run("synth", "--xi", "0.9026", "--delta-hz", "1.9e6", "--s0-dbm", "-80",
+                   "--noise-db", "0.2", "--seed", "129", "--output", str(trace_path)) == 0
+        with pytest.warns(UserWarning, match="pinned at its boundary"):
+            code = run("fit", "--trace", str(trace_path), "--output-prefix", str(tmp_path / "s"))
+        assert code == 0
+        fit = json.loads((tmp_path / "s.fit.json").read_text())
+        assert fit["xi"] == 1.0
+        trace = tracefit.load_trace(trace_path)
+        mask = tracefit.usable_mask(trace, tracefit.FitConfig.standard())
+        nu, y_db = trace.frequencies_hz[mask], trace.powers_dbm[mask]
+        assert fit["points_used"] == nu.size
+        sse = float(np.sum((y_db - oracles.intensity_db(
+            nu, fit["s0_dbm"], fit["xi"], fit["delta_hz"])) ** 2))
+        grid_sse, (_, grid_xi, _) = oracles.bounded_grid_sse(
+            nu, y_db, 0.8, 201, np.linspace(1.2e6, 2.4e6, 481))
+        assert grid_xi == 1.0
+        assert sse <= grid_sse * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("noise_db", ["0.1", "0.02"])
+    def test_flat_trace_ends_flat_or_exits_5(self, tmp_path, noise_db):
+        # distinguishable beams hold no correlation: a fit may end on a xi
+        # bound or at a statistically null interior optimum, both with a
+        # curve flat to within the noise, or report non-convergence; its
+        # singular normal equations used to escape as a traceback (exit 1)
+        trace_path = tmp_path / "flat.csv"
+        codes = []
+        for seed in range(1, 21):
+            assert run("synth", "--which", "flat", "--xi", "0.7", "--delta-hz", "3e6",
+                       "--s0-dbm", "-80", "--noise-db", noise_db, "--seed", str(seed),
+                       "--output", str(trace_path)) == 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = run("fit", "--trace", str(trace_path), "--output-prefix", str(tmp_path / "f"))
+            assert code in (0, cli.EXIT_CONVERGENCE)
+            codes.append(code)
+            if code == 0:
+                fit = json.loads((tmp_path / "f.fit.json").read_text())
+                curve = oracles.intensity_db(tracefit.grid_hz(2e6, 10e6, 30e3), 0.0,
+                                             fit["xi"], fit["delta_hz"])
+                assert np.ptp(curve) < float(noise_db)
+        assert 0 in codes
 
 
 class TestUncertainty:

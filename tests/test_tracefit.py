@@ -1,6 +1,8 @@
 """Trace ingestion, floor subtraction, fitting, and prediction tests."""
 
+import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from twinbeam import tracefit
 from twinbeam.errors import FitConvergenceError, TraceParseError, ValidationError
 from twinbeam.spectra import OpoParams
@@ -411,6 +414,104 @@ class TestFit:
     def test_bad_xi_guess_rejected(self):
         with pytest.raises(ValidationError):
             tracefit.FitConfig(initial_guess=(-79.0, 1.5, 3e6))
+
+
+def windowed(trace, config):
+    mask = tracefit.usable_mask(trace, config)
+    return trace.frequencies_hz[mask], trace.powers_dbm[mask]
+
+
+class TestBoundedFit:
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_jacobian_matches_central_differences(self, linear):
+        nu = tracefit.grid_hz(2e6, 10e6, 50e3)
+        rng = np.random.default_rng(5)
+        for params in ([-80.0, 0.72, 2.98e6], [-79.0, 0.999, 1.9e6], [-81.0, 1.0, 2.5e6],
+                       *([rng.uniform(-85, -75), rng.uniform(0.05, 1.0), rng.uniform(1e6, 5e6)]
+                         for _ in range(8))):
+            params = np.array(params)
+            f, *factors = tracefit._model(nu * nu, params, linear)
+            jac = tracefit._jacobian(params, f, *factors, linear)
+            for k, h in enumerate((1e-4, 1e-7, 1e-6 * params[2])):
+                up, down = params.copy(), params.copy()
+                up[k] += h
+                down[k] -= h
+                numeric = (tracefit._model(nu * nu, up, linear)[0]
+                           - tracefit._model(nu * nu, down, linear)[0]) / (2.0 * h)
+                np.testing.assert_allclose(jac[k], numeric, rtol=1e-6,
+                                           atol=1e-6 * np.abs(numeric).max())
+
+    def test_model_does_not_cancel_near_xi_one(self):
+        # exact binary values: r^2 = 2^-34 and 1 - xi = 2^-40
+        xi, delta = 1.0 - 2.0**-40, 2.0**17
+        exact = (Fraction(2) ** -40 + Fraction(2) ** -34) / (1 + Fraction(2) ** -34)
+        f, *_ = tracefit._model(np.array([1.0]), (0.0, xi, delta), False)
+        assert f[0] == pytest.approx(10.0 * math.log10(exact), abs=1e-12)
+
+    @pytest.mark.parametrize("space", ["db", "linear"])
+    def test_interior_fits_match_the_reference_loop(self, space):
+        rng = np.random.default_rng(20261018)
+        config = tracefit.FitConfig.standard(weight_space=space)
+        for _ in range(200):
+            params = OpoParams.from_correlation(
+                rng.uniform(0.3, 0.9), rng.uniform(2.5e6, 4e6), rng.uniform(-82.0, -78.0))
+            trace = tracefit.synth_trace(params, "intensity", COARSE_GRID,
+                                         rng.uniform(0.02, 0.2), seed=int(rng.integers(2**31)))
+            nu, y_db = windowed(trace, config)
+            ref_params, ref_sse, _ = oracles.fit_reference_lm(nu, y_db, space)
+            fit = tracefit.fit_intensity_spectrum(trace, config)
+            got = np.array([fit.s0_dbm, fit.xi, fit.delta_hz])
+            np.testing.assert_allclose(got, ref_params, rtol=1e-6, atol=0.0)
+            model = oracles.intensity_db(nu, *got)
+            res = y_db - model if space == "db" else 10.0 ** (y_db / 10) - 10.0 ** (model / 10)
+            assert float(res @ res) <= ref_sse * (1.0 + 1e-9)
+
+    def test_near_bound_sweep_converges(self):
+        # the loop that clamped xi after an unconstrained step ran out of
+        # iterations on 19 of these 200 traces
+        rng = np.random.default_rng(9026)
+        config = tracefit.FitConfig.standard()
+        on_bound = []
+        for seed in range(200):
+            params = OpoParams.from_correlation(
+                rng.uniform(0.9, 0.995), rng.uniform(1.5e6, 2.5e6), -80.0)
+            trace = tracefit.synth_trace(params, "intensity", noise_db=rng.uniform(0.1, 0.2),
+                                         seed=seed)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit = tracefit.fit_intensity_spectrum(trace, config)
+            assert fit.xi_at_boundary == bool(caught)
+            if fit.xi_at_boundary:
+                assert fit.xi == 1.0
+                on_bound.append((trace, fit))
+        assert len(on_bound) >= 20
+        for trace, fit in on_bound[:4]:
+            nu, y_db = windowed(trace, config)
+            grid_sse, _ = oracles.bounded_grid_sse(
+                nu, y_db, 0.9, 101, np.linspace(0.8, 1.2, 161) * fit.delta_hz)
+            model = oracles.intensity_db(nu, fit.s0_dbm, fit.xi, fit.delta_hz)
+            assert float(np.sum((y_db - model) ** 2)) <= grid_sse * (1.0 + 1e-9)
+
+    def test_flat_trace_on_the_lower_bound_fits_its_mean_level(self):
+        # at xi = 1e-9 the model depends on delta only at the 1e-9 level, so
+        # delta is held with xi; a step that moved it sent delta off to ~1e85
+        # and the fit raised
+        params = OpoParams.from_correlation(0.7, 3e6, -80.0)
+        trace = tracefit.synth_trace(params, "flat", noise_db=0.1, seed=1)
+        config = tracefit.FitConfig.standard()
+        with pytest.warns(UserWarning, match="pinned at its boundary"):
+            fit = tracefit.fit_intensity_spectrum(trace, config)
+        assert fit.xi == 1e-9
+        assert fit.s0_dbm == pytest.approx(windowed(trace, config)[1].mean(), abs=1e-6)
+
+    def test_flat_trace_with_a_vanishing_delta_column_raises(self):
+        # delta runs off to ~1e67 before xi reaches its bound, where the
+        # residual no longer depends on delta and the normal equations are
+        # singular; this used to escape as numpy's LinAlgError
+        params = OpoParams.from_correlation(0.7, 3e6, -80.0)
+        trace = tracefit.synth_trace(params, "flat", noise_db=0.1, seed=7)
+        with pytest.raises(FitConvergenceError, match="no damped step lowers the SSE"):
+            tracefit.fit_intensity_spectrum(trace, tracefit.FitConfig.standard())
 
 
 class TestPrediction:
