@@ -46,12 +46,10 @@ from .spectra import (
     OpoParams,
     SpectrumCurve,
     distinguishable_phase_spectrum,
-    from_dbm,
     intensity_diff_spectrum,
     opo_quadrature_covariance,
     phase_diff_spectrum,
     physical_frequency_curve,
-    to_dbm,
     uncertainty_excess,
     uncertainty_product,
 )

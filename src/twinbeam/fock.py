@@ -5,21 +5,22 @@ The per-mode cutoff is caller-supplied and photon-number conservation is
 exploited: a pair of interfering modes must keep its total occupation at or
 below the cutoff, otherwise the truncated unitary would not be the physical
 one and a :class:`~twinbeam.errors.CapacityError` is raised.
+
+Both optics are one operation, a 2x2 passive map scattering pairs of modes:
+the beam splitter pairs the matching modes of its two input ports, and the
+half-wave plate with polarizer pairs H with V of each frequency tag.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError, TruncationWarning, ValidationError
 from .modes import ModeLabel, Polarization, Port
-
-PURE = "pure_vector"
-DENSITY = "density_matrix"
 
 #: Mixing angle of a balanced (50/50) splitter.
 BALANCED_ANGLE = np.pi / 4
@@ -40,15 +41,15 @@ _OUTPUT_PORT = {Port.A: Port.C, Port.B: Port.D, Port.C: Port.C, Port.D: Port.D}
 class MultimodeState:
     """Complex amplitudes over a truncated multimode occupation basis.
 
-    ``amplitudes`` has shape ``(D,)`` for pure vectors and ``(D, D)`` for
-    density matrices, ``D = (cutoff + 1) ** n_modes``, flat C-order over the
-    per-mode occupations in ``modes`` order.
+    The basis is flat C-order over the per-mode occupations in ``modes``
+    order, ``D = (cutoff + 1) ** n_modes`` states. The shape of
+    ``amplitudes`` says what the state is: ``(D,)`` is a pure vector and
+    ``(D, D)`` a density matrix.
     """
 
     modes: tuple[ModeLabel, ...]
     cutoff: int
     amplitudes: np.ndarray
-    representation: str = PURE
     truncation_leakage: float = 0.0
 
     def __post_init__(self):
@@ -62,12 +63,9 @@ class MultimodeState:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "amplitudes", arr)
         basis = self.dim ** len(modes)
-        expected = (basis,) if self.representation == PURE else (basis, basis)
-        if self.representation not in (PURE, DENSITY):
-            raise ValidationError(f"unknown representation {self.representation!r}")
-        if arr.shape != expected:
+        if arr.ndim not in (1, 2) or arr.shape != (basis,) * arr.ndim:
             raise ValidationError(
-                f"amplitude shape {arr.shape} does not match basis size {expected}"
+                f"amplitude shape {arr.shape} is neither ({basis},) nor ({basis}, {basis})"
             )
         if abs(self.norm() - 1.0) > _NORM_TOL:
             raise ValidationError(f"state norm {self.norm()!r} is not 1")
@@ -85,17 +83,15 @@ class MultimodeState:
         return self.dim**self.n_modes
 
     def norm(self) -> float:
-        if self.representation == PURE:
-            return float(np.sum(np.abs(self.amplitudes) ** 2))
-        return float(np.real(np.trace(self.amplitudes)))
+        a = self.amplitudes
+        return float(np.sum(np.abs(a) ** 2) if a.ndim == 1 else np.real(np.trace(a)))
 
     def probabilities(self) -> np.ndarray:
         """Occupation-basis probabilities (diagonal for density matrices)."""
-        if self.representation == PURE:
-            probs = np.abs(self.amplitudes) ** 2
-        else:
-            probs = np.real(np.diagonal(self.amplitudes)).copy()
-            probs[probs < 0.0] = 0.0
+        if self.amplitudes.ndim == 1:
+            return np.abs(self.amplitudes) ** 2
+        probs = np.real(np.diagonal(self.amplitudes)).copy()
+        probs[probs < 0.0] = 0.0
         return probs
 
     def mode_index(self, label: ModeLabel) -> int:
@@ -118,26 +114,21 @@ class ScatterOutcome:
         return float(np.sqrt(max(self.variance, 0.0)))
 
 
-@lru_cache(maxsize=32)
-def _strides(dim: int, n_modes: int) -> np.ndarray:
-    s = dim ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
-    s.setflags(write=False)
-    return s
-
-
 @lru_cache(maxsize=16)
 def _occupations(dim: int, n_modes: int) -> np.ndarray:
-    idx = np.arange(dim**n_modes, dtype=np.int64)
-    occ = (idx[None, :] // _strides(dim, n_modes)[:, None]) % dim
+    occ = np.indices((dim,) * n_modes).reshape(n_modes, dim**n_modes)
     occ.setflags(write=False)
     return occ
 
 
-def _default_modes(n: int) -> tuple[ModeLabel, ...]:
-    ports = [Port.A, Port.B, Port.C, Port.D]
-    if n > len(ports):
-        raise ValidationError("explicit mode labels required for more than 4 modes")
-    return tuple(ModeLabel(Polarization.H, 0, ports[i]) for i in range(n))
+def _mode_labels(modes, n: int) -> tuple[ModeLabel, ...]:
+    """``modes`` as ModeLabels (tuples are unpacked into one), or by default
+    equal polarization and frequency on ports a, b, ... for n modes."""
+    if modes is None:
+        if n > len(Port):
+            raise ValidationError("explicit mode labels required for more than 4 modes")
+        return tuple(ModeLabel(Polarization.H, 0, port) for port in list(Port)[:n])
+    return tuple(m if isinstance(m, ModeLabel) else ModeLabel(*m) for m in modes)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +143,7 @@ def make_fock(occupations, cutoff: int, modes=None) -> MultimodeState:
     polarization and frequency; pass explicit ``modes`` for anything else.
     """
     occupations = [int(n) for n in occupations]
-    if modes is None:
-        modes = _default_modes(len(occupations))
-    modes = tuple(ModeLabel(*m) if not isinstance(m, ModeLabel) else m for m in modes)
+    modes = _mode_labels(modes, len(occupations))
     if len(modes) != len(occupations):
         raise ValidationError("one occupation per mode required")
     for n in occupations:
@@ -164,9 +153,8 @@ def make_fock(occupations, cutoff: int, modes=None) -> MultimodeState:
             raise CapacityError(f"occupation {n} exceeds cutoff {cutoff}")
     dim = cutoff + 1
     amps = np.zeros(dim ** len(modes), dtype=np.complex128)
-    flat = int(np.dot(occupations, _strides(dim, len(modes))))
-    amps[flat] = 1.0
-    return MultimodeState(modes, cutoff, amps, PURE)
+    amps[np.ravel_multi_index(occupations, (dim,) * len(modes))] = 1.0
+    return MultimodeState(modes, cutoff, amps)
 
 
 def make_twin_mode_mixture(weights, cutoff: int) -> MultimodeState:
@@ -192,8 +180,7 @@ def make_twin_mode_mixture(weights, cutoff: int) -> MultimodeState:
     rho = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
     diag_flat = np.arange(r) * dim + np.arange(r)
     rho[np.ix_(diag_flat, diag_flat)] = w
-    modes = (ModeLabel(Polarization.H, 0, Port.A), ModeLabel(Polarization.H, 0, Port.B))
-    return MultimodeState(modes, cutoff, rho, DENSITY)
+    return MultimodeState(_mode_labels(None, 2), cutoff, rho)
 
 
 def _coherent_column(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
@@ -233,11 +220,8 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
             TruncationWarning,
             stacklevel=2,
         )
-    if modes is None:
-        modes = _default_modes(2)
-    modes = tuple(m if isinstance(m, ModeLabel) else ModeLabel(*m) for m in modes)
     amps = np.outer(col_a, col_b).ravel()
-    return MultimodeState(modes, cutoff, amps, PURE, truncation_leakage=leakage)
+    return MultimodeState(_mode_labels(modes, 2), cutoff, amps, truncation_leakage=leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -331,34 +315,23 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, blocks: np.ndarray) -
 
 
 def _apply_pair(state: MultimodeState, i: int, j: int, blocks: np.ndarray) -> MultimodeState:
-    dim, m = state.dim, state.n_modes
-    if state.representation == PURE:
-        tensor = state.amplitudes.reshape((dim,) * m)
-        out = _contract_pair(tensor, i, j, blocks).ravel()
-    else:
-        tensor = state.amplitudes.reshape((dim,) * (2 * m))
-        out = _contract_pair(tensor, i, j, blocks)
-        out = _contract_pair(out, m + i, m + j, blocks.conj())
-        out = out.reshape(state.basis_size, state.basis_size)
-    return MultimodeState(
-        state.modes, state.cutoff, out, state.representation, state.truncation_leakage
-    )
+    """Scatter modes i and j. A density matrix is a tensor over the mode list
+    twice, ket axes then bra axes, and its bra copy takes the conjugate blocks."""
+    amps, m = state.amplitudes, state.n_modes
+    tensor = amps.reshape((state.dim,) * (m * amps.ndim))
+    for copy in range(amps.ndim):
+        sector_blocks = blocks.conj() if copy else blocks
+        tensor = _contract_pair(tensor, copy * m + i, copy * m + j, sector_blocks)
+    return replace(state, amplitudes=tensor.reshape(amps.shape))
 
 
 def _append_vacuum(state: MultimodeState, label: ModeLabel) -> MultimodeState:
-    dim, big = state.dim, state.basis_size
-    if state.representation == PURE:
-        out = np.zeros((big, dim), dtype=np.complex128)
-        out[:, 0] = state.amplitudes
-        out = out.ravel()
-    else:
-        out = np.zeros((big, dim, big, dim), dtype=np.complex128)
-        out[:, 0, :, 0] = state.amplitudes
-        out = out.reshape(big * dim, big * dim)
-    return MultimodeState(
-        state.modes + (label,), state.cutoff, out, state.representation,
-        state.truncation_leakage,
-    )
+    """Tensor a vacuum mode ``label`` onto the end of the mode list."""
+    amps, padded = state.amplitudes, state.basis_size * state.dim
+    out = np.zeros((state.basis_size, state.dim) * amps.ndim, dtype=np.complex128)
+    out[(slice(None), 0) * amps.ndim] = amps
+    return replace(state, modes=state.modes + (label,),
+                   amplitudes=out.reshape((padded,) * amps.ndim))
 
 
 def _pair_overflow_weight(state: MultimodeState, i: int, j: int) -> float:
@@ -390,6 +363,25 @@ def _pair_coefficients(mixing_angle: float, convention: str) -> tuple:
     raise ValidationError(f"unknown convention {convention!r}")
 
 
+def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeState:
+    """Scatter each (i, j) label pair of ``pairs`` through the two-mode optic
+    with mode matrix ``coefficients``, then relabel every mode by ``moved``.
+
+    A label absent from the state enters as vacuum, appended in pair order.
+    The sector blocks are built once and shared by all pairs.
+    """
+    for label in (label for pair in pairs for label in pair):
+        if label not in state.modes:
+            state = _append_vacuum(state, label)
+    blocks = pair_unitary(*coefficients, state.dim)
+    leakage = state.truncation_leakage
+    for label_i, label_j in pairs:
+        i, j = state.mode_index(label_i), state.mode_index(label_j)
+        leakage += _pair_overflow_weight(state, i, j)
+        state = _apply_pair(state, i, j, blocks)
+    return MultimodeState(tuple(map(moved, state.modes)), state.cutoff, state.amplitudes, leakage)
+
+
 def apply_beam_splitter(
     state: MultimodeState,
     port_pair=(Port.A, Port.B),
@@ -406,70 +398,35 @@ def apply_beam_splitter(
     p, q = Port(port_pair[0]), Port(port_pair[1])
     if p == q:
         raise ValidationError("beam splitter needs two distinct ports")
-    participants = [m for m in state.modes if m.spatial_port in (p, q)]
-    if not participants:
+    keys = sorted({m.interference_key for m in state.modes if m.spatial_port in (p, q)}, key=str)
+    if not keys:
         raise ValidationError(f"no modes on ports {p.value!r}, {q.value!r}")
-
-    working = state
-    for key in sorted({m.interference_key for m in participants}, key=str):
-        present = {m.spatial_port for m in participants if m.interference_key == key}
-        for port in (p, q):
-            if port not in present:
-                working = _append_vacuum(working, ModeLabel(key[0], key[1], port))
-
-    blocks = pair_unitary(*_pair_coefficients(mixing_angle, convention), working.dim)
-    keys = sorted(
-        {m.interference_key for m in working.modes if m.spatial_port in (p, q)}, key=str
-    )
-    leakage = working.truncation_leakage
-    for key in keys:
-        i = working.mode_index(ModeLabel(key[0], key[1], p))
-        j = working.mode_index(ModeLabel(key[0], key[1], q))
-        leakage += _pair_overflow_weight(working, i, j)
-        working = _apply_pair(working, i, j, blocks)
-
-    out_modes = tuple(
-        m.moved_to(_OUTPUT_PORT[m.spatial_port]) if m.spatial_port in (p, q) else m
-        for m in working.modes
-    )
-    return MultimodeState(
-        out_modes, working.cutoff, working.amplitudes, working.representation, leakage
+    return _scatter(
+        state,
+        [(ModeLabel(*key, p), ModeLabel(*key, q)) for key in keys],
+        _pair_coefficients(mixing_angle, convention),
+        lambda m: m.moved_to(_OUTPUT_PORT[m.spatial_port]) if m.spatial_port in (p, q) else m,
     )
 
 
 def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeState:
     """Half-wave plate at angle theta followed by a polarizing splitter.
 
-    The plate rotates polarizations by 2*theta, so theta = pi/8 acts as a
-    balanced splitter on the H/V pair and theta = pi/4 swaps the ports. The
-    polarizer then routes H to port c and V to port d.
+    The plate rotates polarizations by 2*theta, so it is a splitter on the
+    H/V pair of each frequency tag: theta = pi/8 is balanced and theta = pi/4
+    swaps the ports. The polarizer then routes H to port c and V to port d.
     """
     ports = state.ports()
     if len(ports) != 1:
         raise ValidationError("waveplate input must sit on a single spatial path")
     (path,) = ports
-
-    working = state
-    for tag in sorted({m.frequency_tag for m in working.modes}):
-        present = {m.polarization for m in working.modes if m.frequency_tag == tag}
-        for pol in (Polarization.H, Polarization.V):
-            if pol not in present:
-                working = _append_vacuum(working, ModeLabel(pol, tag, path))
-
-    blocks = pair_unitary(*_pair_coefficients(2.0 * theta, ROTATION), working.dim)
-    leakage = working.truncation_leakage
-    for tag in sorted({m.frequency_tag for m in working.modes}):
-        i = working.mode_index(ModeLabel(Polarization.H, tag, path))
-        j = working.mode_index(ModeLabel(Polarization.V, tag, path))
-        leakage += _pair_overflow_weight(working, i, j)
-        working = _apply_pair(working, i, j, blocks)
-
-    out_modes = tuple(
-        m.moved_to(Port.C if m.polarization == Polarization.H else Port.D)
-        for m in working.modes
-    )
-    return MultimodeState(
-        out_modes, working.cutoff, working.amplitudes, working.representation, leakage
+    pairs = [(ModeLabel(Polarization.H, tag, path), ModeLabel(Polarization.V, tag, path))
+             for tag in sorted({m.frequency_tag for m in state.modes})]
+    return _scatter(
+        state,
+        pairs,
+        _pair_coefficients(2.0 * theta, ROTATION),
+        lambda m: m.moved_to(Port.C if m.polarization == Polarization.H else Port.D),
     )
 
 

@@ -149,7 +149,7 @@ def _symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
     return block[np.ix_(perm, perm)]
 
 
-def random_symplectic(rng: np.random.Generator, squeeze_max: float = 1.5) -> np.ndarray:
+def _random_symplectic(rng: np.random.Generator, squeeze_max: float = 1.5) -> np.ndarray:
     r = rng.uniform(-squeeze_max, squeeze_max, size=2)
     squeezer = np.diag([np.exp(-r[0]), np.exp(r[0]), np.exp(-r[1]), np.exp(r[1])])
     left = _symplectic_from_unitary(_random_unitary_2x2(rng))
@@ -161,7 +161,7 @@ def random_valid_covariance(
     rng: np.random.Generator, squeeze_max: float = 1.5, noise_scale: float = 0.0
 ) -> np.ndarray:
     """Random bona fide quantum covariance (symplectic image of vacuum)."""
-    s = random_symplectic(rng, squeeze_max)
+    s = _random_symplectic(rng, squeeze_max)
     cov = 0.5 * s @ s.T
     if noise_scale > 0.0:
         g = rng.normal(scale=noise_scale, size=(4, 4))

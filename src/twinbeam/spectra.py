@@ -95,11 +95,6 @@ class SpectrumCurve:
         object.__setattr__(self, "frequencies_hz", freqs)
         object.__setattr__(self, "values", vals)
 
-    def require_unit(self, unit: str) -> "SpectrumCurve":
-        if self.unit != unit:
-            raise ValidationError(f"curve is in {self.unit!r}, expected {unit!r}")
-        return self
-
     def to_csv(self) -> str:
         return csv_table({"frequency_hz": self.frequencies_hz, "value": self.values,
                           "unit": self.unit})
@@ -196,22 +191,6 @@ def relative_to_dbm(values, s0_dbm: float):
         raise DomainError("relative power must be positive for dBm conversion")
     out = s0_dbm + 10.0 * np.log10(values)
     return float(out) if out.ndim == 0 else out
-
-
-def dbm_to_relative(values_dbm, s0_dbm: float):
-    values_dbm = np.asarray(values_dbm, dtype=float)
-    out = 10.0 ** ((values_dbm - s0_dbm) / 10.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def to_dbm(curve: SpectrumCurve, s0_dbm: float) -> SpectrumCurve:
-    curve.require_unit(RELATIVE)
-    return SpectrumCurve(curve.frequencies_hz, relative_to_dbm(curve.values, s0_dbm), DBM)
-
-
-def from_dbm(curve: SpectrumCurve, s0_dbm: float) -> SpectrumCurve:
-    curve.require_unit(DBM)
-    return SpectrumCurve(curve.frequencies_hz, dbm_to_relative(curve.values, s0_dbm), RELATIVE)
 
 
 _MODELS = {

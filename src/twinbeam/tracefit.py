@@ -522,7 +522,7 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
             improvement = sse - cand_sse
             params, f, factors, res, sse = candidate, cand_f, cand_factors, cand_res, cand_sse
             lam = max(lam / _LAMBDA_FACTOR, 1e-15)
-            if improvement <= config.convergence_tol * max(sse, 1e-30) or sse < 1e-28:
+            if improvement <= config.convergence_tol * max(sse, 1e-30):
                 converged = True
                 break
         else:

@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture(scope="session")
 def warm_engine():
-    """Compile/caching warm-up so timed checks measure the physics, not the JIT."""
+    """Warm-up so timed checks measure the physics, not first-call imports and cache fills."""
     from twinbeam import fock
 
     out = fock.apply_beam_splitter(fock.make_fock([1, 0], cutoff=1))

@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them on
 success). Timed criteria measure the computation on a warmed engine so that
-one-time JIT compilation is not charged against the physics.
+one-time imports and cache fills are not charged against the physics.
 """
 
 import time

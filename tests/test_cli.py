@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, config precedence."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import warnings
@@ -225,6 +226,47 @@ class TestFitCommand:
             nu, y_db, 0.8, 201, np.linspace(1.2e6, 2.4e6, 481))
         assert grid_xi == 1.0
         assert sse <= grid_sse * (1.0 + 1e-9)
+
+    def test_undetermined_xi_on_the_bound_reports_its_error(self, tmp_path):
+        # delta sits below the 2 MHz window start, so the window sees only
+        # the tail of the dip, xi and delta trade off, and the optimum lands
+        # on xi = 1: the report must say that xi is not determined
+        trace_path = tmp_path / "tail.csv"
+        assert run("synth", "--xi", "0.5", "--delta-hz", "1.5e6", "--s0-dbm", "-80",
+                   "--noise-db", "0.15", "--seed", "9", "--output", str(trace_path)) == 0
+        with pytest.warns(UserWarning, match="pinned at its boundary"):
+            code = run("fit", "--trace", str(trace_path), "--output-prefix", str(tmp_path / "t"))
+        assert code == 0
+        fit = json.loads((tmp_path / "t.fit.json").read_text())
+        assert fit["xi"] == 1.0
+        assert fit["xi_at_boundary"] is True
+        assert fit["xi_stderr"] > 0.5
+
+    def test_fit_json_carries_standard_errors_after_the_existing_keys(self, tmp_path, trace_path):
+        assert run("fit", "--trace", str(trace_path), "--output-prefix", str(tmp_path / "f")) == 0
+        result = tracefit.fit_intensity_spectrum(tracefit.load_trace(trace_path),
+                                                 tracefit.FitConfig.standard())
+        fit = json.loads((tmp_path / "f.fit.json").read_text())
+        assert list(fit) == [
+            "s0_dbm", "xi", "delta_hz", "rms_residual_db", "points_used", "squeezing_raw_db",
+            "squeezing_corrected_db", "squeezing_bandwidth_hz", "s0_dbm_stderr", "xi_stderr",
+            "delta_hz_stderr", "iterations", "xi_at_boundary"]
+        stderrs = [fit["s0_dbm_stderr"], fit["xi_stderr"], fit["delta_hz_stderr"]]
+        assert stderrs == np.sqrt(result.covariance.diagonal()).tolist()
+        assert fit["iterations"] == result.iterations
+        assert fit["xi_at_boundary"] is False
+        assert (tmp_path / "f.fit.txt").read_text() == result.to_key_value()
+
+    def test_undefined_standard_errors_are_null(self, tmp_path, trace_path, monkeypatch):
+        fit = tracefit.fit_intensity_spectrum
+        monkeypatch.setattr(tracefit, "fit_intensity_spectrum", lambda *args: dataclasses.replace(
+            fit(*args), covariance=np.diag([np.nan, -1.0, np.inf])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("fit", "--trace", str(trace_path), "--output-prefix",
+                       str(tmp_path / "f")) == 0
+        fit_json = json.loads((tmp_path / "f.fit.json").read_text())
+        assert [fit_json[f"{name}_stderr"] for name in ("s0_dbm", "xi", "delta_hz")] == [None] * 3
 
     @pytest.mark.parametrize("noise_db", ["0.1", "0.02"])
     def test_flat_trace_ends_flat_or_exits_5(self, tmp_path, noise_db):

@@ -247,6 +247,69 @@ class TestWaveplatePolarizer:
             fock.apply_waveplate_polarizer(fock.make_fock([1, 1], cutoff=2), 0.1)
 
 
+class TestDensityMatrix:
+    """An optic maps |psi><psi| to the projector on its image of psi."""
+
+    @staticmethod
+    def random_pure(seed, cutoff, n_modes=2):
+        # amplitudes over n_modes, zero where n_0 + n_1 exceeds the cutoff
+        rng = np.random.default_rng(seed)
+        occ = fock._occupations(cutoff + 1, n_modes)
+        psi = rng.normal(size=occ.shape[1]) + 1j * rng.normal(size=occ.shape[1])
+        psi[occ[0] + occ[1] > cutoff] = 0.0
+        return psi / np.linalg.norm(psi)
+
+    @staticmethod
+    def assert_maps_projector(optic, modes, cutoff, psi):
+        pure = optic(fock.MultimodeState(modes, cutoff, psi))
+        mixed = optic(fock.MultimodeState(modes, cutoff, np.outer(psi, psi.conj())))
+        assert mixed.modes == pure.modes
+        assert mixed.amplitudes.shape == (pure.basis_size, pure.basis_size)
+        expected = np.outer(pure.amplitudes, pure.amplitudes.conj())
+        assert np.abs(mixed.amplitudes - expected).max() <= 1e-14
+        assert mixed.truncation_leakage == pure.truncation_leakage
+
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matched_pair(self, convention, seed):
+        modes = (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B))
+        self.assert_maps_projector(
+            lambda s: fock.apply_beam_splitter(s, mixing_angle=0.4, convention=convention),
+            modes, 4, self.random_pure(seed, 4))
+
+    @pytest.mark.parametrize("modes", [
+        (ModeLabel(H, 0, Port.A), ModeLabel(H, 1, Port.B)),  # two vacuum partners
+        (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B), ModeLabel(V, 1, Port.A)),  # one
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_different_tags_pad_the_density_matrix_with_vacuum(self, modes, seed):
+        self.assert_maps_projector(fock.apply_beam_splitter, modes, 3,
+                                   self.random_pure(seed, 3, len(modes)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_waveplate_on_different_tags(self, seed):
+        modes = (ModeLabel(H, 0, Port.A), ModeLabel(V, 1, Port.A))
+        self.assert_maps_projector(lambda s: fock.apply_waveplate_polarizer(s, 0.3), modes, 3,
+                                   self.random_pure(seed, 3))
+
+    def test_two_dimensional_amplitudes_are_a_density_matrix(self):
+        modes = (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B))
+        rho = np.diag([0.5, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.25]).astype(complex)
+        rho[0, 4] = rho[4, 0] = 0.25
+        state = fock.MultimodeState(modes, 2, rho)
+        assert state.norm() == 1.0
+        np.testing.assert_array_equal(state.probabilities(), rho.diagonal().real)
+        joint = fock.port_stats(state, Port.A, Port.B)
+        assert joint[0, 0] == 0.5 and joint[1, 1] == 0.25 and joint[2, 2] == 0.25
+
+    @pytest.mark.parametrize("shape", [(9, 3), (3, 3, 3, 3), (3, 3), (81,)])
+    def test_other_amplitude_shapes_rejected(self, shape):
+        amplitudes = np.zeros(shape, dtype=complex)
+        amplitudes.flat[0] = 1.0
+        with pytest.raises(ValidationError, match="amplitude shape"):
+            fock.MultimodeState((ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B)), 2, amplitudes)
+
+
 # ---------------------------------------------------------------------------
 # Invariants
 # ---------------------------------------------------------------------------

@@ -466,6 +466,19 @@ class TestBoundedFit:
             res = y_db - model if space == "db" else 10.0 ** (y_db / 10) - 10.0 ** (model / 10)
             assert float(res @ res) <= ref_sse * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("space", ["db", "linear"])
+    def test_noise_free_sweep_recovers_parameters(self, space):
+        # powers near -80 dBm are 1e-11 mW, so in linear power an SSE test
+        # that is not relative to the data would stop these fits early
+        rng = np.random.default_rng(300)
+        config = tracefit.FitConfig.standard(weight_space=space)
+        for _ in range(300):
+            truth = np.array([rng.uniform(-85.0, -75.0), rng.uniform(0.3, 0.95),
+                              rng.uniform(1.5e6, 4e6)])
+            trace = tracefit.synth_trace(OpoParams.from_correlation(*truth[1:], truth[0]))
+            fit = tracefit.fit_intensity_spectrum(trace, config)
+            np.testing.assert_allclose([fit.s0_dbm, fit.xi, fit.delta_hz], truth, rtol=1e-9)
+
     def test_near_bound_sweep_converges(self):
         # the loop that clamped xi after an unconstrained step ran out of
         # iterations on 19 of these 200 traces
