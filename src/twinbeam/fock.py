@@ -244,45 +244,112 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
 # Sectors with n above the cutoff cannot be represented exactly under the
 # truncation; they are left as the identity and callers must keep state
 # support out of them.
+#
+# Every unitary M is phase shifters around a real rotation (Reck et al., PRL
+# 73, 58 (1994)): M = diag(1, p) R diag(q1, q2) with R = [[c, -s], [s, c]],
+# c = |alpha| and s = |beta|, that is alpha = c q1, beta = -s q2,
+# gamma = p s q1 and delta = p c q2. In U|k, n-k> the phase p rides on each of
+# the n-k photons of b, and q1, q2 on each photon leaving by c, d, so
+#   B_n(M)[j, k] = q1^j q2^(n-j) d_n[j, k] p^(n-k)
+# with d_n the real block of R. The recursion therefore runs once per (c, s)
+# in real arithmetic, and both splitter conventions at one angle share it.
 # ---------------------------------------------------------------------------
 
+_UNITARY_TOL = 1e-12
 
-def pair_unitary(alpha, beta, gamma, delta, dim) -> np.ndarray:
-    """Sector blocks of a two-mode passive optic, stacked to shape (dim, dim, dim).
+#: (c, s, blocks): the read-only real blocks of the last rotation built, at
+#: the largest dim asked for since; block n does not depend on dim, so a
+#: smaller dim is the leading slice. Both splitter conventions at one angle
+#: give bit-identical (c, s) and share it. A call reads the tuple once, so
+#: the (c, s) it compares always belong to the blocks it returns.
+_rotation = (None, None, np.ones((0, 0, 0)))
 
-    Block n maps |k, n-k> to |j, n-j> in its leading (n+1) x (n+1) corner;
-    the padding beyond it carries the identity. Blocks are built one sector
-    at a time by the recursion above, in O(dim^3) work, for any 2x2 mode
-    matrix; they are as unitary as that matrix is (a deviation e of M^dag M
-    from the identity grows to about n e in sector n).
-    """
-    # Term (r, c) of the recursion reads B[j - 1 + r, k - 1 + c] with weight
-    # M[c, r] * sqrt|j - r n| * sqrt|k - c n|; root[dim - 1 + i] = sqrt|i|,
+
+def _rotation_blocks(c: float, s: float, dim: int) -> np.ndarray:
+    """Real sector blocks d_n of R = [[c, -s], [s, c]] by the recursion above,
+    stacked to shape (dim, dim, dim) with the identity as padding."""
+    # Term (u, v) of the recursion reads B[j - 1 + u, k - 1 + v] with weight
+    # R[v, u] * sqrt|j - u n| * sqrt|k - v n|; root[dim - 1 + i] = sqrt|i|,
     # so sector n's weights are one strided view of this C-ordered array.
-    coefficients = np.array([[alpha, gamma], [beta, delta]], dtype=np.complex128)
+    coefficients = np.array([[c, s], [-s, c]], dtype=np.float64)
     root = np.sqrt(np.abs(np.arange(1 - dim, dim)))
     weights = np.multiply.outer(coefficients, np.multiply.outer(root, root))
     wr, wc, wx, wy = weights.strides
-    blocks = np.zeros((dim, dim, dim), dtype=np.complex128)
+    blocks = np.zeros((dim, dim, dim))
     # the diagonals of all blocks: ones beyond each sector's corner
     blocks.reshape(dim, dim * dim)[:, :: dim + 1] = 1.0 - np.tri(dim)
     blocks[0, 0, 0] = 1.0
     # Block n - 1 with a zero border; its four (n+1) x (n+1) windows are the
     # four shifted terms.
-    prev = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
+    prev = np.zeros((dim + 1, dim + 1))
     prev[1, 1] = 1.0
     px, py = prev.strides
-    terms = np.empty(4 * dim * dim, dtype=np.complex128)
+    terms = np.empty(4 * dim * dim)
     for n in range(1, dim):
         shape = (2, 2, n + 1, n + 1)
-        window = np.ndarray(shape, np.complex128, prev, 0, (px, py, px, py))
-        weight = np.ndarray(shape, np.complex128, weights, (dim - 1) * (wx + wy),
+        window = np.ndarray(shape, np.float64, prev, 0, (px, py, px, py))
+        weight = np.ndarray(shape, np.float64, weights, (dim - 1) * (wx + wy),
                             (wr - n * wx, wc - n * wy, wx, wy))
         block = blocks[n, : n + 1, : n + 1]
         np.multiply(weight, window, out=terms[: window.size].reshape(shape)).sum((0, 1), out=block)
         block /= n
         prev[1 : n + 2, 1 : n + 2] = block
+    blocks.setflags(write=False)
     return blocks
+
+
+def _powers(phases, dim: int) -> np.ndarray:
+    """Row i holds phases[i] to the powers 0 ... dim-1, each rescaled to unit
+    modulus."""
+    powers = np.empty((len(phases), dim), dtype=np.complex128)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = np.array(phases)[:, None]
+    powers = np.cumprod(powers, axis=1)
+    return powers / np.abs(powers)
+
+
+def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sector blocks of a two-mode unitary optic as ``(rows, blocks, cols)``.
+
+    ``blocks`` is the read-only float64 stack (dim, dim, dim) of the real
+    rotation blocks d_n, and ``rows``, ``cols`` are complex (dim, dim) phases,
+    so that block n of the optic is ``rows[n, :, None] * blocks[n] *
+    cols[n, None, :]``. It maps |k, n-k> to |j, n-j> in its leading
+    (n+1) x (n+1) corner; beyond it the phases are 1 and the blocks carry the
+    identity. The real blocks of the last rotation are kept and shared by
+    every later call with the same (c, s) and at most the same dim.
+
+    Raises ValidationError when the 2x2 mode map is not unitary.
+    """
+    global _rotation
+    alpha, beta, gamma, delta = (complex(x) for x in (alpha, beta, gamma, delta))
+    # rows of unit norm and orthogonal; a sum, so that a NaN is not lost
+    error = (abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
+             + abs(abs(gamma) ** 2 + abs(delta) ** 2 - 1.0)
+             + abs(alpha * gamma.conjugate() + beta * delta.conjugate()))
+    if not error <= _UNITARY_TOL:
+        raise ValidationError(f"2x2 mode map [[{alpha}, {beta}], [{gamma}, {delta}]] is not "
+                              f"unitary: its rows are off orthonormal by {error:.3g}")
+    c, s = abs(alpha), abs(beta)
+    q1 = alpha / c if c else 1.0
+    q2 = -beta / s if s else 1.0
+    det = alpha * delta - beta * gamma
+    p = det / abs(det) / (q1 * q2)
+
+    cached_c, cached_s, blocks = _rotation
+    if (c, s) != (cached_c, cached_s) or len(blocks) < dim:
+        blocks = _rotation_blocks(c, s, dim)
+        _rotation = (c, s, blocks)
+    # |j, n-j> sits at pair index j*dim + n-j and at sector slot n*dim + j, so
+    # q1^j q2^(n-j) is the outer product at the pair index, and p^(n-j) is p
+    # to the pair index mod dim
+    pair, slot = _sector_index(dim)
+    rows = np.ones(dim * dim, dtype=np.complex128)
+    cols = np.ones(dim * dim, dtype=np.complex128)
+    q1_powers, q2_powers, p_powers = _powers((q1, q2, p), dim)
+    rows[slot] = np.multiply.outer(q1_powers, q2_powers).ravel()[pair]
+    cols[slot] = p_powers[pair % dim]
+    return rows.reshape(dim, dim), blocks[:dim, :dim, :dim], cols.reshape(dim, dim)
 
 
 @lru_cache(maxsize=16)
@@ -296,16 +363,24 @@ def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pair, slot
 
 
-def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, blocks: np.ndarray) -> np.ndarray:
+def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, rows: np.ndarray,
+                   blocks: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Apply the sector blocks rows * blocks * cols to axes ax1, ax2: the
+    column phases as the amplitudes are gathered into the sector stack, the
+    real blocks on a float64 view of that complex stack, and the row phases
+    as the amplitudes are read back."""
     dim = tensor.shape[ax1]
     moved = np.moveaxis(tensor, (ax1, ax2), (0, 1))
     flat = moved.reshape(dim * dim, -1)
     pair, slot = _sector_index(dim)
     stack = np.zeros((dim * dim, flat.shape[1]), dtype=np.complex128)
-    stack[slot] = flat[pair]
-    stack = (blocks @ stack.reshape(dim, dim, -1)).reshape(dim * dim, -1)
+    stack[slot] = flat[pair] * cols.reshape(-1, 1)[slot]
+    stack = blocks @ stack.view(np.float64).reshape(dim, dim, -1)
+    # each stack is reassigned, not kept under a new name, so it is freed once read
+    stack = stack.view(np.complex128).reshape(dim * dim, -1)[slot]
+    stack *= rows.reshape(-1, 1)[slot]
     out = flat.copy()
-    out[pair] = stack[slot]
+    out[pair] = stack
     return np.moveaxis(out.reshape(moved.shape), (0, 1), (ax1, ax2))
 
 
@@ -314,14 +389,17 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, blocks: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 
-def _apply_pair(state: MultimodeState, i: int, j: int, blocks: np.ndarray) -> MultimodeState:
-    """Scatter modes i and j. A density matrix is a tensor over the mode list
-    twice, ket axes then bra axes, and its bra copy takes the conjugate blocks."""
+def _apply_pair(state: MultimodeState, i: int, j: int, sectors: tuple) -> MultimodeState:
+    """Scatter modes i and j by the ``pair_unitary`` factors ``sectors``. A
+    density matrix is a tensor over the mode list twice, ket axes then bra
+    axes, and its bra copy takes the conjugate phases around the same real
+    blocks."""
+    rows, blocks, cols = sectors
     amps, m = state.amplitudes, state.n_modes
     tensor = amps.reshape((state.dim,) * (m * amps.ndim))
-    for copy in range(amps.ndim):
-        sector_blocks = blocks.conj() if copy else blocks
-        tensor = _contract_pair(tensor, copy * m + i, copy * m + j, sector_blocks)
+    tensor = _contract_pair(tensor, i, j, rows, blocks, cols)
+    if amps.ndim == 2:
+        tensor = _contract_pair(tensor, m + i, m + j, rows.conj(), blocks, cols.conj())
     return replace(state, amplitudes=tensor.reshape(amps.shape))
 
 
@@ -373,12 +451,12 @@ def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeStat
     for label in (label for pair in pairs for label in pair):
         if label not in state.modes:
             state = _append_vacuum(state, label)
-    blocks = pair_unitary(*coefficients, state.dim)
+    sectors = pair_unitary(*coefficients, state.dim)
     leakage = state.truncation_leakage
     for label_i, label_j in pairs:
         i, j = state.mode_index(label_i), state.mode_index(label_j)
         leakage += _pair_overflow_weight(state, i, j)
-        state = _apply_pair(state, i, j, blocks)
+        state = _apply_pair(state, i, j, sectors)
     return MultimodeState(tuple(map(moved, state.modes)), state.cutoff, state.amplitudes, leakage)
 
 
@@ -393,11 +471,17 @@ def apply_beam_splitter(
     Modes interfere pairwise when their polarization and frequency tags
     match across the port pair; unmatched modes scatter against a vacuum
     partner added on the opposite port. Input ports a, b are relabeled to
-    output ports c, d.
+    output ports c, d, while c and d stay c and d, so the two ports must land
+    on different outputs: the pairs {a, c} and {b, d} are refused.
     """
     p, q = Port(port_pair[0]), Port(port_pair[1])
     if p == q:
         raise ValidationError("beam splitter needs two distinct ports")
+    if _OUTPUT_PORT[p] == _OUTPUT_PORT[q]:
+        raise ValidationError(
+            f"ports {p.value!r} and {q.value!r} would both leave by output port "
+            f"{_OUTPUT_PORT[p].value!r}: a and b become c and d, and c and d stay c and d"
+        )
     keys = sorted({m.interference_key for m in state.modes if m.spatial_port in (p, q)}, key=str)
     if not keys:
         raise ValidationError(f"no modes on ports {p.value!r}, {q.value!r}")

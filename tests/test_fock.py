@@ -11,6 +11,25 @@ from twinbeam.modes import ModeLabel, Polarization, Port
 H, V = Polarization.H, Polarization.V
 
 
+def composed_blocks(sectors):
+    """The complex sector blocks rows[n, j] * blocks[n, j, k] * cols[n, k] of
+    the three factors ``pair_unitary`` returns."""
+    rows, blocks, cols = sectors
+    return rows[:, :, None] * blocks * cols[:, None, :]
+
+
+def expm_oracle_error(blocks, theta, convention):
+    """Largest deviation of the sector blocks from the expm oracle's sectors."""
+    dim = len(blocks)
+    reference = oracles.splitter_unitary_expm(dim, theta, convention)
+    errors = []
+    for n in range(dim):
+        k = np.arange(n + 1)
+        sector = np.ix_(k * dim + (n - k), k * dim + (n - k))
+        errors.append(np.abs(blocks[n, : n + 1, : n + 1] - reference[sector]).max())
+    return max(errors)
+
+
 def distinguishable_pair(n_a=1, n_b=1, cutoff=2):
     modes = (ModeLabel(H, 0, Port.A), ModeLabel(H, 1, Port.B))
     return fock.make_fock([n_a, n_b], cutoff, modes=modes)
@@ -207,6 +226,25 @@ class TestBeamSplitter:
         with pytest.raises(ValidationError):
             fock.apply_beam_splitter(state)
 
+    @pytest.mark.parametrize("ports", [(Port.A, Port.C), (Port.C, Port.A),
+                                       (Port.B, Port.D), (Port.D, Port.B)])
+    def test_port_pair_on_one_output_rejected(self, ports, monkeypatch):
+        state = fock.make_fock([1, 1], 2, modes=(ModeLabel(H, 0, ports[0]),
+                                                  ModeLabel(H, 0, ports[1])))
+        monkeypatch.setattr(fock, "_scatter", lambda *args: pytest.fail("scattered"))
+        with pytest.raises(ValidationError, match="c and d stay c and d") as error:
+            fock.apply_beam_splitter(state, port_pair=ports)
+        message = str(error.value)
+        assert f"ports {ports[0].value!r} and {ports[1].value!r}" in message
+
+    @pytest.mark.parametrize("ports", [(Port.A, Port.D), (Port.B, Port.C), (Port.C, Port.D)])
+    def test_port_pair_on_two_outputs_interferes(self, ports):
+        state = fock.make_fock([1, 1], 2, modes=(ModeLabel(H, 0, ports[0]),
+                                                  ModeLabel(H, 0, ports[1])))
+        out = fock.apply_beam_splitter(state, port_pair=ports)
+        assert {m.spatial_port for m in out.modes} == {Port.C, Port.D}
+        assert fock.coincidence_probability(out) <= 1e-12
+
 
 class TestWaveplatePolarizer:
     def pair(self, n_h, n_v, cutoff, tag_v=0):
@@ -333,6 +371,17 @@ class TestInvariants:
         out = fock.apply_beam_splitter(state, mixing_angle=angle, convention=convention)
         assert abs(out.norm() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    @pytest.mark.parametrize("angle", [0.3, np.pi / 4, 2.0, 4.0])
+    def test_scattered_amplitudes_match_expm_oracle(self, convention, angle):
+        # amplitudes, not only probabilities: the output phases must be right
+        cutoff = 4
+        psi = TestDensityMatrix.random_pure(7, cutoff)
+        state = fock.MultimodeState((ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B)), cutoff, psi)
+        out = fock.apply_beam_splitter(state, mixing_angle=angle, convention=convention)
+        reference = oracles.splitter_unitary_expm(cutoff + 1, angle, convention) @ psi
+        assert np.abs(out.amplitudes - reference).max() <= 1e-12
+
     def test_unitarity_density(self):
         weights = np.diag([0.3, 0.45, 0.25])
         state = fock.make_twin_mode_mixture(weights, cutoff=4)
@@ -353,18 +402,20 @@ class TestInvariants:
 
     def test_pair_unitary_matrix_is_unitary(self):
         for theta, convention in ((0.4, fock.SYMMETRIC_I), (1.1, fock.ROTATION)):
-            blocks = fock.pair_unitary(*self.coefficients(theta, convention), 9)
+            blocks = composed_blocks(fock.pair_unitary(*self.coefficients(theta, convention), 9))
             assert blocks.shape == (9, 9, 9)
             assert self.block_unitarity_error(blocks) <= 1e-12
 
     def test_pair_unitary_blocks_unitary_at_cutoff_120(self):
         for convention in (fock.SYMMETRIC_I, fock.ROTATION):
-            blocks = fock.pair_unitary(*self.coefficients(fock.BALANCED_ANGLE, convention), 121)
+            blocks = composed_blocks(
+                fock.pair_unitary(*self.coefficients(fock.BALANCED_ANGLE, convention), 121))
             assert self.block_unitarity_error(blocks) <= 1e-13
 
     def test_pair_unitary_blocks_unitary_at_cutoff_200(self):
         for convention in (fock.SYMMETRIC_I, fock.ROTATION):
-            blocks = fock.pair_unitary(*self.coefficients(fock.BALANCED_ANGLE, convention), 201)
+            blocks = composed_blocks(
+                fock.pair_unitary(*self.coefficients(fock.BALANCED_ANGLE, convention), 201))
             assert self.block_unitarity_error(blocks) <= 1e-13
 
     @pytest.mark.parametrize("seed", range(24))
@@ -373,7 +424,7 @@ class TestInvariants:
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         assert abs(np.linalg.det(q) - 1.0) > 1e-3
         dim = 8
-        blocks = fock.pair_unitary(q[0, 0], q[0, 1], q[1, 0], q[1, 1], dim)
+        blocks = composed_blocks(fock.pair_unitary(q[0, 0], q[0, 1], q[1, 0], q[1, 1], dim))
         assert self.block_unitarity_error(blocks) <= 1e-13
         for n in range(dim):
             reference = oracles.splitter_sector_binomial(q, n)
@@ -384,13 +435,40 @@ class TestInvariants:
         dim = 6
         for theta in np.linspace(0.0, 2.0 * np.pi, 17):
             for convention in (fock.SYMMETRIC_I, fock.ROTATION):
-                blocks = fock.pair_unitary(*self.coefficients(theta, convention), dim)
-                reference = oracles.splitter_unitary_expm(dim, theta, convention)
-                for n in range(dim):
-                    k = np.arange(n + 1)
-                    sector = np.ix_(k * dim + (n - k), k * dim + (n - k))
-                    err = np.abs(blocks[n, : n + 1, : n + 1] - reference[sector]).max()
-                    assert err <= 1e-12, (theta, convention, n, err)
+                sectors = fock.pair_unitary(*self.coefficients(theta, convention), dim)
+                err = expm_oracle_error(composed_blocks(sectors), theta, convention)
+                assert err <= 1e-12, (theta, convention, err)
+
+    @pytest.mark.parametrize("mode_map", [
+        np.diag([1j, -1.0]),
+        np.diag(np.exp([0.4j, -2.9j])),
+        np.diag(np.exp([-1.3j, 2.2j])),
+        np.array([[0.0, -1.0], [1j, 0.0]]),
+        np.array([[0.0, np.exp(0.7j)], [np.exp(-2.5j), 0.0]]),
+        np.array([[0.0, np.exp(3.0j)], [np.exp(1.9j), 0.0]]),
+    ])
+    def test_pair_unitary_diagonal_and_antidiagonal_maps(self, mode_map):
+        # s = 0 or c = 0: the split takes its free phase from the other entry
+        assert abs(np.linalg.det(mode_map) - 1.0) > 1e-3
+        dim = 8
+        blocks = composed_blocks(fock.pair_unitary(*mode_map.ravel(), dim))
+        assert self.block_unitarity_error(blocks) <= 1e-13
+        for n in range(dim):
+            reference = oracles.splitter_sector_binomial(mode_map, n)
+            err = np.abs(blocks[n, : n + 1, : n + 1] - reference).max()
+            assert err <= 1e-12, (n, err)
+
+    @pytest.mark.parametrize("mode_map", [
+        (1.0, 0.0, 0.0, 2.0),  # a gain
+        (0.6, 0.8, 0.8, 0.6),  # unit-norm rows that are not orthogonal
+        (1.0, 1e-9, 0.0, 1.0),
+        (np.nan, 0.0, 0.0, 1.0),
+        (1.0, 0.0, np.nan, 1.0),
+        (1.0, 0.0, 0.0, np.inf),
+    ])
+    def test_pair_unitary_rejects_a_map_that_is_not_unitary(self, mode_map):
+        with pytest.raises(ValidationError, match="not unitary"):
+            fock.pair_unitary(*mode_map, 4)
 
     @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
     @pytest.mark.parametrize("n", [20, 24, 28, 30, 40, 50])
@@ -399,6 +477,15 @@ class TestInvariants:
         assert abs(out.norm() - 1.0) <= 1e-12
         variance = fock.number_difference_stats(out).variance
         assert variance == pytest.approx(2 * n * (n + 1), rel=1e-12)
+
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    def test_twin_fock_ladder_to_n_60(self, convention):
+        for n in range(1, 61):
+            out = fock.apply_beam_splitter(fock.make_fock([n, n], cutoff=2 * n),
+                                           convention=convention)
+            assert abs(out.norm() - 1.0) <= 1e-14, n
+            variance = fock.number_difference_stats(out).variance
+            assert variance == pytest.approx(2 * n * (n + 1), rel=1e-14), n
 
     @pytest.mark.parametrize("n_a,n_b", [(1, 1), (2, 1), (3, 0), (2, 2)])
     def test_convention_invariance_fock_inputs(self, n_a, n_b):
@@ -434,3 +521,49 @@ class TestInvariants:
     def test_vacuum_has_no_coincidence(self):
         out = fock.apply_beam_splitter(fock.make_fock([0, 0], cutoff=1))
         assert fock.coincidence_probability(out) == 0.0
+
+
+class TestRotationCache:
+    """pair_unitary keeps the real blocks of the last rotation at the largest
+    dim asked for; the other calls read slices of them."""
+
+    coefficients = staticmethod(TestInvariants.coefficients)
+
+    def test_small_dim_after_a_large_build_equals_a_fresh_build(self):
+        sym = self.coefficients(0.7, fock.SYMMETRIC_I)
+        fock.pair_unitary(*self.coefficients(0.2, fock.ROTATION), 5)  # another rotation
+        fresh = fock.pair_unitary(*sym, 9)
+        large = fock.pair_unitary(*sym, 61)
+        sliced = fock.pair_unitary(*sym, 9)
+        assert [f.shape for f in sliced] == [(9, 9), (9, 9, 9), (9, 9)]
+        for got, want in zip(sliced, fresh):
+            np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(sliced[1], large[1])
+        # the other convention at the same angle reads the same real blocks
+        rotation = fock.pair_unitary(*self.coefficients(0.7, fock.ROTATION), 9)
+        assert np.shares_memory(rotation[1], large[1])
+
+    def test_switching_angles_gives_each_angle_its_blocks(self):
+        calls = [(0.3, fock.SYMMETRIC_I, 6), (1.1, fock.ROTATION, 6), (0.3, fock.ROTATION, 4),
+                 (2.6, fock.SYMMETRIC_I, 5), (1.1, fock.SYMMETRIC_I, 6), (0.3, fock.SYMMETRIC_I, 6)]
+        results = []
+        for theta, convention, dim in calls:
+            blocks = composed_blocks(fock.pair_unitary(*self.coefficients(theta, convention), dim))
+            assert expm_oracle_error(blocks, theta, convention) <= 1e-12, (theta, convention, dim)
+            results.append(blocks)
+        np.testing.assert_array_equal(results[0], results[-1])
+
+    def test_returned_factors_cannot_change_a_later_scatter(self):
+        state = fock.make_fock([3, 3], 6)
+        before = fock.apply_beam_splitter(state).amplitudes
+        rows, blocks, cols = fock.pair_unitary(
+            *self.coefficients(fock.BALANCED_ANGLE, fock.SYMMETRIC_I), 7)
+        assert not blocks.flags.writeable
+        with pytest.raises(ValueError):
+            blocks[3, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            blocks.setflags(write=True)
+        rows[...] = 0.0  # the phases are the caller's own arrays
+        cols[...] = 0.0
+        after = fock.apply_beam_splitter(state).amplitudes
+        np.testing.assert_array_equal(after, before)
