@@ -8,13 +8,14 @@ one and a :class:`~twinbeam.errors.CapacityError` is raised.
 
 Both optics are one operation, a 2x2 passive map scattering pairs of modes:
 the beam splitter pairs the matching modes of its two input ports, and the
-half-wave plate with polarizer pairs H with V of each frequency tag.
+half-wave plate with polarizer pairs H with V of each frequency tag. A mixed
+state is an ensemble of pure vectors, and an optic maps each of them alike.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,17 +40,19 @@ _OUTPUT_PORT = {Port.A: Port.C, Port.B: Port.D, Port.C: Port.C, Port.D: Port.D}
 
 @dataclass(frozen=True)
 class MultimodeState:
-    """Complex amplitudes over a truncated multimode occupation basis.
+    """A state over a truncated multimode occupation basis, stored as an
+    ensemble of unnormalised pure vectors.
 
     The basis is flat C-order over the per-mode occupations in ``modes``
-    order, ``D = (cutoff + 1) ** n_modes`` states. The shape of
-    ``amplitudes`` says what the state is: ``(D,)`` is a pure vector and
-    ``(D, D)`` a density matrix.
+    order, ``D = (cutoff + 1) ** n_modes`` states. ``vectors`` is a (K, D)
+    stack whose rows psi_k make up rho = sum_k |psi_k><psi_k| (the ensemble
+    form of a mixed state, Nielsen & Chuang, section 2.4). A pure state has
+    K = 1, and a (D,) array is read as that one vector.
     """
 
     modes: tuple[ModeLabel, ...]
     cutoff: int
-    amplitudes: np.ndarray
+    vectors: np.ndarray
     truncation_leakage: float = 0.0
 
     def __post_init__(self):
@@ -58,16 +61,18 @@ class MultimodeState:
             raise ValidationError(f"duplicate mode labels in {modes}")
         if self.cutoff < 1:
             raise ValidationError("cutoff must be >= 1")
-        arr = np.array(self.amplitudes, dtype=np.complex128)
+        shape = np.shape(self.vectors)
+        arr = np.array(self.vectors, dtype=np.complex128, ndmin=2)
         arr.setflags(write=False)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "vectors", arr)
         basis = self.dim ** len(modes)
-        if arr.ndim not in (1, 2) or arr.shape != (basis,) * arr.ndim:
+        if len(shape) not in (1, 2) or arr.shape[1] != basis or not len(arr):
             raise ValidationError(
-                f"amplitude shape {arr.shape} is neither ({basis},) nor ({basis}, {basis})"
+                f"amplitude shape {shape} is neither ({basis},) nor (K, {basis}) with K >= 1"
             )
-        if abs(self.norm() - 1.0) > _NORM_TOL:
+        # written so that a NaN norm fails it
+        if not abs(self.norm() - 1.0) <= _NORM_TOL:
             raise ValidationError(f"state norm {self.norm()!r} is not 1")
 
     @property
@@ -82,20 +87,20 @@ class MultimodeState:
     def basis_size(self) -> int:
         return self.dim**self.n_modes
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The (D,) vector of a pure state; for K > 1 the (D, D) density
+        matrix sum_k psi_k psi_k^H, built on each call."""
+        if len(self.vectors) == 1:
+            return self.vectors[0]
+        return self.vectors.T @ self.vectors.conj()
+
     def norm(self) -> float:
-        a = self.amplitudes
-        return float(np.sum(np.abs(a) ** 2) if a.ndim == 1 else np.real(np.trace(a)))
+        return float(self.probabilities().sum())
 
     def probabilities(self) -> np.ndarray:
-        """Occupation-basis probabilities (diagonal for density matrices)."""
-        if self.amplitudes.ndim == 1:
-            return np.abs(self.amplitudes) ** 2
-        probs = np.real(np.diagonal(self.amplitudes)).copy()
-        probs[probs < 0.0] = 0.0
-        return probs
-
-    def mode_index(self, label: ModeLabel) -> int:
-        return self.modes.index(label)
+        """Occupation-basis probabilities, summed over the ensemble."""
+        return (np.abs(self.vectors) ** 2).sum(axis=0)
 
     def ports(self) -> set[Port]:
         return {m.spatial_port for m in self.modes}
@@ -158,10 +163,12 @@ def make_fock(occupations, cutoff: int, modes=None) -> MultimodeState:
 
 
 def make_twin_mode_mixture(weights, cutoff: int) -> MultimodeState:
-    """Two-mode density matrix sum_np w[n,p] |n,n><p,p| on ports a and b.
+    """Two-mode mixture sum_np w[n,p] |n,n><p,p| on ports a and b.
 
     ``weights`` must be Hermitian, positive semidefinite, unit trace, with
-    dimension at most cutoff + 1.
+    dimension at most cutoff + 1. The state holds one vector
+    sqrt(lambda) sum_n v[n] |n,n> per eigenpair (lambda, v) of w above the
+    rank tolerance of ``np.linalg.matrix_rank``.
     """
     w = np.asarray(weights, dtype=np.complex128)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -173,14 +180,15 @@ def make_twin_mode_mixture(weights, cutoff: int) -> MultimodeState:
         raise ValidationError("weight matrix is not Hermitian")
     if abs(np.trace(w).real - 1.0) > 1e-10:
         raise ValidationError(f"weight matrix trace {np.trace(w)} is not 1")
-    if np.linalg.eigvalsh(w).min() < -1e-10:
+    eigenvalues, eigenvectors = np.linalg.eigh(w)
+    if eigenvalues[0] < -1e-10:
         raise ValidationError("weight matrix is not positive semidefinite")
 
+    kept = eigenvalues > eigenvalues[-1] * r * np.finfo(float).eps
     dim = cutoff + 1
-    rho = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    diag_flat = np.arange(r) * dim + np.arange(r)
-    rho[np.ix_(diag_flat, diag_flat)] = w
-    return MultimodeState(_mode_labels(None, 2), cutoff, rho)
+    vectors = np.zeros((int(kept.sum()), dim * dim), dtype=np.complex128)
+    vectors[:, np.arange(r) * (dim + 1)] = (eigenvectors[:, kept] * np.sqrt(eigenvalues[kept])).T
+    return MultimodeState(_mode_labels(None, 2), cutoff, vectors)
 
 
 def _coherent_column(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
@@ -365,10 +373,11 @@ def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, rows: np.ndarray,
                    blocks: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Apply the sector blocks rows * blocks * cols to axes ax1, ax2: the
-    column phases as the amplitudes are gathered into the sector stack, the
-    real blocks on a float64 view of that complex stack, and the row phases
-    as the amplitudes are read back."""
+    """Apply the sector blocks rows * blocks * cols to axes ax1, ax2, every
+    other axis (the ensemble's among them) riding along: the column phases
+    as the amplitudes are gathered into the sector stack, the real blocks on
+    a float64 view of that complex stack, and the row phases as the
+    amplitudes are read back."""
     dim = tensor.shape[ax1]
     moved = np.moveaxis(tensor, (ax1, ax2), (0, 1))
     flat = moved.reshape(dim * dim, -1)
@@ -389,45 +398,23 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, rows: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _apply_pair(state: MultimodeState, i: int, j: int, sectors: tuple) -> MultimodeState:
-    """Scatter modes i and j by the ``pair_unitary`` factors ``sectors``. A
-    density matrix is a tensor over the mode list twice, ket axes then bra
-    axes, and its bra copy takes the conjugate phases around the same real
-    blocks."""
-    rows, blocks, cols = sectors
-    amps, m = state.amplitudes, state.n_modes
-    tensor = amps.reshape((state.dim,) * (m * amps.ndim))
-    tensor = _contract_pair(tensor, i, j, rows, blocks, cols)
-    if amps.ndim == 2:
-        tensor = _contract_pair(tensor, m + i, m + j, rows.conj(), blocks, cols.conj())
-    return replace(state, amplitudes=tensor.reshape(amps.shape))
-
-
-def _append_vacuum(state: MultimodeState, label: ModeLabel) -> MultimodeState:
-    """Tensor a vacuum mode ``label`` onto the end of the mode list."""
-    amps, padded = state.amplitudes, state.basis_size * state.dim
-    out = np.zeros((state.basis_size, state.dim) * amps.ndim, dtype=np.complex128)
-    out[(slice(None), 0) * amps.ndim] = amps
-    return replace(state, modes=state.modes + (label,),
-                   amplitudes=out.reshape((padded,) * amps.ndim))
-
-
-def _pair_overflow_weight(state: MultimodeState, i: int, j: int) -> float:
-    """Probability weight on basis states whose pair total exceeds the cutoff.
+def _pair_overflow_weight(tensor: np.ndarray, i: int, j: int, cutoff: int) -> float:
+    """Probability weight on basis states whose total in modes i, j of the
+    (K, dim, ..., dim) tensor exceeds the cutoff.
 
     Those sectors cannot scatter exactly under the truncation; weight at the
     truncation-leakage level is tolerated and accounted, anything larger is a
     capacity error.
     """
-    occ = _occupations(state.dim, state.n_modes)
-    overflow = (occ[i] + occ[j]) > state.cutoff
+    occ = _occupations(cutoff + 1, tensor.ndim - 1)
+    overflow = (occ[i] + occ[j]) > cutoff
     if not overflow.any():
         return 0.0
-    weight = float(state.probabilities()[overflow].sum())
+    weight = float(np.sum(np.abs(tensor.reshape(len(tensor), -1)[:, overflow]) ** 2))
     if weight > LEAKAGE_THRESHOLD:
         raise CapacityError(
             f"interfering pair carries probability {weight:.3g} above cutoff "
-            f"{state.cutoff}; rebuild the state with a larger cutoff"
+            f"{cutoff}; rebuild the state with a larger cutoff"
         )
     return weight
 
@@ -446,18 +433,24 @@ def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeStat
     with mode matrix ``coefficients``, then relabel every mode by ``moved``.
 
     A label absent from the state enters as vacuum, appended in pair order.
-    The sector blocks are built once and shared by all pairs.
+    The sector blocks are built once and shared by all pairs; the vectors
+    go through as one (K, dim, ..., dim) tensor, axis 0 the ensemble.
     """
+    modes, dim = state.modes, state.dim
+    tensor = state.vectors.reshape((-1,) + (dim,) * state.n_modes)
     for label in (label for pair in pairs for label in pair):
-        if label not in state.modes:
-            state = _append_vacuum(state, label)
-    sectors = pair_unitary(*coefficients, state.dim)
+        if label not in modes:
+            padded = np.zeros(tensor.shape + (dim,), dtype=np.complex128)
+            padded[..., 0] = tensor
+            tensor, modes = padded, modes + (label,)
+    sectors = pair_unitary(*coefficients, dim)
     leakage = state.truncation_leakage
     for label_i, label_j in pairs:
-        i, j = state.mode_index(label_i), state.mode_index(label_j)
-        leakage += _pair_overflow_weight(state, i, j)
-        state = _apply_pair(state, i, j, sectors)
-    return MultimodeState(tuple(map(moved, state.modes)), state.cutoff, state.amplitudes, leakage)
+        i, j = modes.index(label_i), modes.index(label_j)
+        leakage += _pair_overflow_weight(tensor, i, j, state.cutoff)
+        tensor = _contract_pair(tensor, i + 1, j + 1, *sectors)
+    return MultimodeState(tuple(map(moved, modes)), state.cutoff,
+                          tensor.reshape(len(tensor), -1), leakage)
 
 
 def apply_beam_splitter(

@@ -1,5 +1,7 @@
 """Exact Fock-engine tests: interference dichotomies, scaling laws, unitarity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,13 @@ def expm_oracle_error(blocks, theta, convention):
         sector = np.ix_(k * dim + (n - k), k * dim + (n - k))
         errors.append(np.abs(blocks[n, : n + 1, : n + 1] - reference[sector]).max())
     return max(errors)
+
+
+def one_hot(shape, value=1.0):
+    """Zeros of ``shape`` with ``value`` in the first entry, if there is one."""
+    amplitudes = np.zeros(shape, dtype=complex)
+    amplitudes.flat[:1] = value
+    return amplitudes
 
 
 def distinguishable_pair(n_a=1, n_b=1, cutoff=2):
@@ -62,21 +71,57 @@ class TestMakeFock:
 
 
 class TestTwinModeMixture:
+    @staticmethod
+    def assert_single_vector(state, expected):
+        """One vector, equal to ``expected`` up to a global phase."""
+        assert state.vectors.shape == (1, 9)
+        assert np.linalg.norm(state.vectors[0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(expected, state.vectors[0])) == pytest.approx(1.0, abs=1e-12)
+
     def test_single_entry_is_pure_projector(self):
         weights = np.zeros((2, 2))
         weights[1, 1] = 1.0
         state = fock.make_twin_mode_mixture(weights, cutoff=2)
-        eigs = np.linalg.eigvalsh(state.amplitudes)
-        assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
-        assert abs(eigs[:-1]).max() < 1e-12
         # the support is |1,1><1,1|
+        self.assert_single_vector(state, np.eye(9)[1 * 3 + 1])
         assert state.probabilities()[1 * 3 + 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_coherences_make_rank_one_superposition(self):
         weights = np.full((2, 2), 0.5)
         state = fock.make_twin_mode_mixture(weights, cutoff=2)
-        eigs = np.linalg.eigvalsh(state.amplitudes)
-        assert eigs[-1] == pytest.approx(1.0, abs=1e-12)  # pure (|0,0>+|1,1>)/sqrt(2)
+        # pure (|0,0>+|1,1>)/sqrt(2)
+        self.assert_single_vector(state, (np.eye(9)[0] + np.eye(9)[4]) / np.sqrt(2))
+
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_coherences_never_reach_the_counts(self, seed, convention):
+        # the splitter conserves each pair's total, so w[n, p] with n != p
+        # cannot change the joint counts
+        rng = np.random.default_rng(seed)
+        r = 2 + seed % 5
+        rank = 1 + seed % r
+        a = rng.normal(size=(r, rank)) + 1j * rng.normal(size=(r, rank))
+        w = a @ a.conj().T / np.linalg.norm(a) ** 2  # positive semidefinite, unit trace
+        state = fock.make_twin_mode_mixture(w, cutoff=2 * (r - 1))
+        assert state.vectors.shape[0] == np.linalg.matrix_rank(w) == rank
+        diagonal = fock.make_twin_mode_mixture(np.diag(np.diag(w)), cutoff=2 * (r - 1))
+        joint = [fock.port_stats(fock.apply_beam_splitter(s, convention=convention))
+                 for s in (state, diagonal)]
+        assert np.abs(joint[0] - joint[1]).max() <= 1e-14
+
+    def test_uniform_mixture_at_cutoff_60_stays_small(self):
+        # the dense (D, D) form would need about 0.7 GB here
+        n = np.arange(31)
+        tracemalloc.start()
+        try:
+            state = fock.make_twin_mode_mixture(np.eye(31) / 31, cutoff=60)
+            stats = fock.number_difference_stats(fock.apply_beam_splitter(state))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.vectors.shape == (31, 61 * 61)
+        assert stats.variance == pytest.approx(np.mean(2 * n * (n + 1)), rel=1e-13)
+        assert peak < 32e6
 
     def test_poisson_diagonal_has_zero_input_difference(self):
         lam = 0.8
@@ -286,7 +331,8 @@ class TestWaveplatePolarizer:
 
 
 class TestDensityMatrix:
-    """An optic maps |psi><psi| to the projector on its image of psi."""
+    """An optic maps each vector of an ensemble to its pure image, so the
+    state sum_k |psi_k><psi_k| goes to the sum of the image projectors."""
 
     @staticmethod
     def random_pure(seed, cutoff, n_modes=2):
@@ -297,23 +343,30 @@ class TestDensityMatrix:
         psi[occ[0] + occ[1] > cutoff] = 0.0
         return psi / np.linalg.norm(psi)
 
-    @staticmethod
-    def assert_maps_projector(optic, modes, cutoff, psi):
-        pure = optic(fock.MultimodeState(modes, cutoff, psi))
-        mixed = optic(fock.MultimodeState(modes, cutoff, np.outer(psi, psi.conj())))
-        assert mixed.modes == pure.modes
-        assert mixed.amplitudes.shape == (pure.basis_size, pure.basis_size)
-        expected = np.outer(pure.amplitudes, pure.amplitudes.conj())
+    @classmethod
+    def assert_maps_each_vector(cls, optic, modes, cutoff, seed):
+        # 2 or 3 random pure vectors with weights that sum to 1
+        weights = np.random.default_rng(seed).dirichlet(np.ones(2 + seed % 2))
+        pures = [cls.random_pure(10 * seed + k, cutoff, len(modes)) for k in range(len(weights))]
+        mixed = optic(fock.MultimodeState(
+            modes, cutoff, np.stack([np.sqrt(p) * psi for p, psi in zip(weights, pures)])))
+        images = [optic(fock.MultimodeState(modes, cutoff, psi)) for psi in pures]
+        assert mixed.vectors.shape == (len(weights), images[0].basis_size)
+        expected = np.zeros((images[0].basis_size,) * 2, dtype=complex)
+        for row, p, image in zip(mixed.vectors, weights, images):
+            assert mixed.modes == image.modes
+            assert mixed.truncation_leakage == image.truncation_leakage
+            assert np.abs(row - np.sqrt(p) * image.amplitudes).max() <= 1e-14
+            expected += p * np.outer(image.amplitudes, image.amplitudes.conj())
         assert np.abs(mixed.amplitudes - expected).max() <= 1e-14
-        assert mixed.truncation_leakage == pure.truncation_leakage
 
     @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
     @pytest.mark.parametrize("seed", range(3))
     def test_matched_pair(self, convention, seed):
         modes = (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B))
-        self.assert_maps_projector(
+        self.assert_maps_each_vector(
             lambda s: fock.apply_beam_splitter(s, mixing_angle=0.4, convention=convention),
-            modes, 4, self.random_pure(seed, 4))
+            modes, 4, seed)
 
     @pytest.mark.parametrize("modes", [
         (ModeLabel(H, 0, Port.A), ModeLabel(H, 1, Port.B)),  # two vacuum partners
@@ -321,30 +374,35 @@ class TestDensityMatrix:
     ])
     @pytest.mark.parametrize("seed", range(3))
     def test_different_tags_pad_the_density_matrix_with_vacuum(self, modes, seed):
-        self.assert_maps_projector(fock.apply_beam_splitter, modes, 3,
-                                   self.random_pure(seed, 3, len(modes)))
+        self.assert_maps_each_vector(fock.apply_beam_splitter, modes, 3, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_waveplate_on_different_tags(self, seed):
         modes = (ModeLabel(H, 0, Port.A), ModeLabel(V, 1, Port.A))
-        self.assert_maps_projector(lambda s: fock.apply_waveplate_polarizer(s, 0.3), modes, 3,
-                                   self.random_pure(seed, 3))
+        self.assert_maps_each_vector(lambda s: fock.apply_waveplate_polarizer(s, 0.3), modes, 3,
+                                     seed)
 
     def test_two_dimensional_amplitudes_are_a_density_matrix(self):
         modes = (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B))
         rho = np.diag([0.5, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.25]).astype(complex)
         rho[0, 4] = rho[4, 0] = 0.25
-        state = fock.MultimodeState(modes, 2, rho)
+        # the dyadic ensemble 0.5(|00>+|11>), 0.5|00>, 0.5|22> is exactly rho
+        vectors = np.zeros((3, 9), dtype=complex)
+        vectors[0, [0, 4]] = vectors[1, 0] = vectors[2, 8] = 0.5
+        state = fock.MultimodeState(modes, 2, vectors)
+        np.testing.assert_array_equal(state.amplitudes, rho)
         assert state.norm() == 1.0
         np.testing.assert_array_equal(state.probabilities(), rho.diagonal().real)
         joint = fock.port_stats(state, Port.A, Port.B)
         assert joint[0, 0] == 0.5 and joint[1, 1] == 0.25 and joint[2, 2] == 0.25
 
-    @pytest.mark.parametrize("shape", [(9, 3), (3, 3, 3, 3), (3, 3), (81,)])
-    def test_other_amplitude_shapes_rejected(self, shape):
-        amplitudes = np.zeros(shape, dtype=complex)
-        amplitudes.flat[0] = 1.0
-        with pytest.raises(ValidationError, match="amplitude shape"):
+    @pytest.mark.parametrize("amplitudes, message", [
+        *(pytest.param(one_hot(shape), "amplitude shape", id=f"shape{i}")
+          for i, shape in enumerate([(9, 3), (3, 3, 3, 3), (3, 3), (81,), (0, 9)])),
+        pytest.param(one_hot(9, np.nan), "state norm nan", id="nan"),
+    ])
+    def test_other_amplitude_shapes_rejected(self, amplitudes, message):
+        with pytest.raises(ValidationError, match=message):
             fock.MultimodeState((ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B)), 2, amplitudes)
 
 
