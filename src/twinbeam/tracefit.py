@@ -16,9 +16,12 @@ header, then one sample per line with strictly increasing frequencies.
 from __future__ import annotations
 
 import io
+import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +51,6 @@ _N_PARAMS = 3
 _XI_MIN = 1e-9
 _LAMBDA0 = 1e-3
 _LAMBDA_FACTOR = 10.0
-_FREE_ALL = slice(None)
-_HOLD_XI = slice(None, None, 2)  # (S0, delta)
-_HOLD_XI_DELTA = slice(0, 1)  # S0 alone
 
 _LOG10_SCALE = 10.0 / np.log(10.0)
 
@@ -69,6 +69,8 @@ class SpectrumTrace:
         powers = np.atleast_1d(np.asarray(self.powers_dbm, dtype=float))
         if freqs.shape != powers.shape or freqs.ndim != 1:
             raise ValidationError("frequency and power arrays must be 1-d and equal length")
+        if not (np.isfinite(freqs).all() and np.isfinite(powers).all()):
+            raise ValidationError("frequencies and powers must be finite")
         if self.label and self.label.splitlines() != [self.label]:
             raise ValidationError(f"label must be one line, got {self.label!r}")
         try:
@@ -110,6 +112,9 @@ class FitConfig:
     def __post_init__(self):
         if self.weight_space not in ("db", "linear"):
             raise ValidationError(f"weight_space must be 'db' or 'linear', got {self.weight_space!r}")
+        if not (self.max_iterations >= 1 and 0.0 <= self.convergence_tol < math.inf):
+            raise ValidationError("need max_iterations >= 1 and a finite convergence_tol >= 0, got "
+                                  f"{self.max_iterations} and {self.convergence_tol}")
         for lo, hi in self.exclusions_hz:
             if not lo < hi:
                 raise ValidationError(f"exclusion band ({lo}, {hi}) is empty")
@@ -368,18 +373,21 @@ def _model(nu2, params, linear):
     its Jacobian shares.
 
     With r = nu/delta, a = 1 + r^2 and m = (1 - xi) + r^2 the dB model is
-    S0 + 10 log10(m/a). Forming 1 - xi before adding r^2 keeps m/a free of
-    the cancellation in 1 - xi/a as xi -> 1.
+    S0 + 10 log10(m/a) and the linear one 10^(S0/10) m/a. Forming 1 - xi
+    before adding r^2 keeps m/a free of the cancellation in 1 - xi/a as
+    xi -> 1.
     """
     s0, xi, delta = params
     r2 = nu2 * (1.0 / (delta * delta))
     a = 1.0 + r2
     m = (1.0 - xi) + r2
-    f = np.log10(m / a)
+    f = m / a
+    if linear:
+        f *= 10.0 ** (s0 / 10.0)
+        return f, r2, a, m
+    np.log10(f, out=f)
     f *= 10.0
     f += s0
-    if linear:
-        f = 10.0 ** (f / 10.0)
     return f, r2, a, m
 
 
@@ -399,23 +407,44 @@ def _jacobian(params, f, r2, a, m, linear):
     return jac
 
 
-def _free_params(xi, grad_xi):
-    """The parameters a step moves, as a basic slice of (S0, xi, delta).
-
-    xi is held where it sits on a bound and the gradient J^T r points out of
-    the box, where a step that moved it would only be clamped back. At
-    xi_min delta is held too: the model depends on it only through xi.
-    """
-    if xi >= 1.0 and grad_xi > 0.0:
-        return _HOLD_XI
-    if xi <= _XI_MIN and grad_xi < 0.0:
-        return _HOLD_XI_DELTA
-    return _FREE_ALL
+def _damped_step(gram, free, lam):
+    """(dS0, dxi, ddelta) solving (J^T J + lam diag J^T J) x = J^T r for the
+    ``free`` parameters, the others held, or None where a pivot is not
+    positive (the residual no longer sees a parameter). ``gram`` is the Gram
+    matrix of the rows (J; r). Cholesky in floats, on the 3x3 system where
+    a held parameter's row and column are the identity's and its right-hand
+    side is 0: its step is then 0 and the factor of the free k x k system
+    is computed with the same operations."""
+    (a00, a01, a02, b0), (_, a11, a12, b1), (_, _, a22, b2) = gram[:_N_PARAMS]
+    if 1 not in free:
+        a01, a11, a12, b1 = 0.0, 1.0, 0.0, 0.0
+    if 2 not in free:
+        a02, a12, a22, b2 = 0.0, 0.0, 1.0, 0.0
+    damp = 1.0 + lam
+    d0 = a00 * damp
+    if not d0 > 0.0:
+        return None
+    l00 = math.sqrt(d0)
+    l10, l20 = a01 / l00, a02 / l00
+    d1 = a11 * damp - l10 * l10
+    if not d1 > 0.0:
+        return None
+    l11 = math.sqrt(d1)
+    l21 = (a12 - l20 * l10) / l11
+    d2 = a22 * damp - l20 * l20 - l21 * l21
+    if not d2 > 0.0:
+        return None
+    l22 = math.sqrt(d2)
+    z0 = b0 / l00
+    z1 = (b1 - l10 * z0) / l11
+    x2 = (b2 - l20 * z0 - l21 * z1) / l22 / l22
+    x1 = (z1 - l21 * x2) / l11
+    return (z0 - l10 * x1 - l20 * x2) / l00, x1, x2
 
 
 def _clamp_params(params, delta_floor):
     s0, xi, delta = params
-    return np.array([s0, min(max(xi, _XI_MIN), 1.0), max(abs(delta), delta_floor)])
+    return s0, min(max(xi, _XI_MIN), 1.0), max(abs(delta), delta_floor)
 
 
 def usable_mask(trace: SpectrumTrace, config: FitConfig) -> np.ndarray:
@@ -433,11 +462,13 @@ def usable_mask(trace: SpectrumTrace, config: FitConfig) -> np.ndarray:
 
 def _initial_guess(nu, y_db):
     """Starting (S0, xi, delta) read off a trace with increasing frequencies."""
-    top = max(1, nu.size // 4)
-    s0 = float(np.median(y_db[-top:]))
-    low = float(np.mean(y_db[: min(3, nu.size)]))
+    tail = np.sort(y_db[-max(1, nu.size // 4):])
+    half = tail.size // 2
+    s0 = float(tail[half]) if tail.size % 2 else (float(tail[half - 1]) + float(tail[half])) / 2.0
+    first = y_db[:3].tolist()
+    low = reduce(add, first) / len(first)  # left to right like np.mean; sum() compensates on 3.12+
     depth = 1.0 - 10.0 ** ((low - s0) / 10.0)
-    xi = float(np.clip(depth, 0.05, 0.995))
+    xi = min(max(depth, 0.05), 0.995)
     rel = 10.0 ** ((y_db - s0) / 10.0)
     half_level = 1.0 - depth / 2.0
     above = np.nonzero(rel >= half_level)[0]
@@ -447,7 +478,7 @@ def _initial_guess(nu, y_db):
         delta = float(nu[i - 1] + frac * (nu[i] - nu[i - 1]))
     else:
         delta = float(nu[0] + (nu[-1] - nu[0]) / 3.0)
-    return np.array([s0, xi, max(delta, 1e-6 * nu[-1])])
+    return s0, xi, max(delta, 1e-6 * float(nu[-1]))
 
 
 def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None) -> FitResult:
@@ -462,8 +493,9 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
 
     Bounds: xi in [1e-9, 1] and delta at least 1e-9 of the highest fitted
     frequency; candidates are clamped into them. Where xi sits on a bound
-    and J^T r points out of it, xi is held (at 1e-9, delta too) and the
-    step is solved for the other parameters.
+    and J^T r points out of it, a step that moved xi would only be clamped
+    back, so xi is held and the step is solved for the other parameters.
+    At 1e-9 delta is held too: the model then depends on it only through xi.
 
     Raises FitConvergenceError with the last iterate when max_iterations
     run out or when no damped step lowers the SSE.
@@ -484,7 +516,7 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
 
     delta_floor = 1e-9 * float(nu[-1])
     if config.initial_guess is not None:
-        params = _clamp_params(np.asarray(config.initial_guess, dtype=float), delta_floor)
+        params = _clamp_params(map(float, config.initial_guess), delta_floor)
     else:
         params = _clamp_params(_initial_guess(nu, y_db), delta_floor)
 
@@ -494,26 +526,27 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     f, *factors = _model(nu2, params, linear)
     res = y - f
     sse = float(res @ res)
+    rows = np.empty((_N_PARAMS + 1, nu.size))  # (J; r): one Gram product per accepted step
     lam = _LAMBDA0
     accepted = True  # the normal equations are rebuilt only where params moved
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         if accepted:
-            jac = _jacobian(params, f, *factors, linear)
-            jtj = jac @ jac.T
-            diag = jtj.diagonal().copy()
-            jtr = jac @ res
-            free = _free_params(params[1], jtr[1])
-        jtj.flat[:: _N_PARAMS + 1] = diag * (1.0 + lam)
-        step = np.zeros(_N_PARAMS)
+            rows[:_N_PARAMS] = _jacobian(params, f, *factors, linear)
+            rows[_N_PARAMS] = res
+            gram = (rows @ rows.T).tolist()
+            grad_xi = gram[1][_N_PARAMS]
+            if params[1] >= 1.0 and grad_xi > 0.0:
+                free = (0, 2)
+            elif params[1] <= _XI_MIN and grad_xi < 0.0:
+                free = (0,)
+            else:
+                free = (0, 1, 2)
+        step = _damped_step(gram, free, lam)
         accepted = False
-        try:
-            step[free] = np.linalg.solve(jtj[free, free], jtr[free])
-        except np.linalg.LinAlgError:
-            pass  # singular: a parameter the residual no longer sees
-        else:
-            candidate = _clamp_params(params + step, delta_floor)
+        if step is not None:
+            candidate = _clamp_params([p + dx for p, dx in zip(params, step)], delta_floor)
             cand_f, *cand_factors = _model(nu2, candidate, linear)
             cand_res = y - cand_f
             cand_sse = float(cand_res @ cand_res)
@@ -533,7 +566,7 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
         reason = "no damped step lowers the SSE" if lam > 1e15 else "no convergence"
         raise FitConvergenceError(
             f"{reason} after {iterations} iterations (sse {sse:.6g}, "
-            f"last params {params.tolist()})",
+            f"last params {list(params)})",
             last_params=tuple(params),
             iterations=iterations,
         )

@@ -4,7 +4,8 @@ These deliberately avoid the package's combinatorial kernels: the splitter
 unitary is built here from ladder-operator matrices and an eigendecomposition
 exponential, distributions from exact dyadic binomials, Poisson tails
 from compensated summation, and spectrum fits from a grid search and from
-the damped least-squares loop as it stood before the bound step.
+the damped least-squares loop as it stood before the bound step, started
+from the fit's guess as numpy calls compute it.
 """
 
 import math
@@ -173,6 +174,25 @@ def bounded_grid_sse(nu, y_db, xi_lo, n_xi, deltas_hz):
     return best
 
 
+def initial_guess(nu, y_db):
+    """Starting (S0, xi, delta) of the fit, in numpy calls: S0 the median of
+    the top quarter, xi from the mean of the first three points clipped to
+    [0.05, 0.995], delta where the trace climbs half way back to S0."""
+    top = max(1, nu.size // 4)
+    s0 = float(np.median(y_db[-top:]))
+    depth = 1.0 - 10.0 ** ((float(np.mean(y_db[: min(3, nu.size)])) - s0) / 10.0)
+    rel = 10.0 ** ((y_db - s0) / 10.0)
+    half_level = 1.0 - depth / 2.0
+    above = np.nonzero(rel >= half_level)[0]
+    if above.size and above[0] > 0:
+        i = above[0]
+        frac = (half_level - rel[i - 1]) / max(rel[i] - rel[i - 1], 1e-30)
+        delta = float(nu[i - 1] + frac * (nu[i] - nu[i - 1]))
+    else:
+        delta = float(nu[0] + (nu[-1] - nu[0]) / 3.0)
+    return s0, float(np.clip(depth, 0.05, 0.995)), max(delta, 1e-6 * nu[-1])
+
+
 def fit_reference_lm(nu, y_db, weight_space="db", max_iterations=200, tol=1e-12):
     """The damped least-squares loop as it stood before the bounded step:
     a full Jacobian for every candidate, every parameter free on every step
@@ -204,19 +224,7 @@ def fit_reference_lm(nu, y_db, weight_space="db", max_iterations=200, tol=1e-12)
         s0, xi, delta = params
         return np.array([s0, min(max(xi, 1e-9), 1.0), max(abs(delta), delta_floor)])
 
-    top = max(1, nu.size // 4)
-    s0 = float(np.median(y_db[-top:]))
-    depth = 1.0 - 10.0 ** ((float(np.mean(y_db[: min(3, nu.size)])) - s0) / 10.0)
-    rel = 10.0 ** ((y_db - s0) / 10.0)
-    half_level = 1.0 - depth / 2.0
-    above = np.nonzero(rel >= half_level)[0]
-    if above.size and above[0] > 0:
-        i = above[0]
-        frac = (half_level - rel[i - 1]) / max(rel[i] - rel[i - 1], 1e-30)
-        delta = float(nu[i - 1] + frac * (nu[i] - nu[i - 1]))
-    else:
-        delta = float(nu[0] + (nu[-1] - nu[0]) / 3.0)
-    params = clamp([s0, float(np.clip(depth, 0.05, 0.995)), max(delta, 1e-6 * nu[-1])])
+    params = clamp(initial_guess(nu, y_db))
 
     res, jac = residual_and_jacobian(params)
     sse = float(res @ res)

@@ -489,6 +489,10 @@ class TestConfig:
         "trace_fit.weight_space = log",
         "trace_fit.exclusions_hz = 4e6:3e6",
         "trace_fit.fit_window_hz = 5e6, 2e6",
+        "trace_fit.max_iterations = 0",
+        "trace_fit.max_iterations = -3",
+        "trace_fit.convergence_tol = -1",
+        "trace_fit.convergence_tol = nan",
     ])
     def test_domain_rule_is_validation_error(self, tmp_path, trace_path, line):
         config = self.write(tmp_path, line + "\n")

@@ -527,6 +527,79 @@ class TestBoundedFit:
             tracefit.fit_intensity_spectrum(trace, tracefit.FitConfig.standard())
 
 
+FREE_SETS = [(0, 1, 2), (0, 2), (0,)]
+
+
+class TestScalarArithmetic:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(FREE_SETS), st.floats(-15.0, 3.0), st.floats(0.0, 8.0),
+           st.integers(0, 2**32 - 1))
+    def test_damped_step_matches_numpy_solve(self, free, log_lam, log_cond, seed):
+        # rows (J; r) of 20 points; J^T J has condition number 10^log_cond
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(20, 4)))
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        spread = np.array([0.0, rng.uniform(0.0, log_cond / 2), log_cond / 2])
+        jac = (u[:, :3] * 10.0 ** (rng.uniform(-3.0, 3.0) + spread)) @ v.T
+        res = u[:, 3] * 10.0 ** rng.uniform(-3.0, 3.0) + jac @ rng.normal(size=3)
+        rows = np.vstack([jac.T, res])
+        gram = (rows @ rows.T).tolist()
+        lam = 10.0**log_lam
+        damped = np.array(gram)[np.ix_(free, free)]
+        damped[np.diag_indices(len(free))] *= 1.0 + lam
+        want = np.linalg.solve(damped, np.array(gram)[list(free), 3])
+        step = tracefit._damped_step(gram, free, lam)
+        assert [step[p] for p in range(3) if p not in free] == [0.0] * (3 - len(free))
+        got = [step[p] for p in free]
+        # two backward-stable solves differ by up to about cond * eps (5.5e-9
+        # apart at cond 6.8e7): 1e-9 holds up to cond ~5e5, 8 cond eps above
+        bound = max(1e-9, 8.0 * np.linalg.cond(damped) * np.finfo(float).eps)
+        assert np.linalg.norm(np.subtract(got, want)) <= bound * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("lam", [1e-15, 1e-3, 1e3])
+    @pytest.mark.parametrize("free", FREE_SETS)
+    def test_a_jacobian_row_of_zeros_is_singular(self, free, lam):
+        rows = np.random.default_rng(3).normal(size=(4, 20))
+        for p in free:
+            zeroed = rows.copy()
+            zeroed[p] = 0.0
+            assert tracefit._damped_step((zeroed @ zeroed.T).tolist(), free, lam) is None
+
+    def test_initial_guess_is_the_numpy_formula_bit_for_bit(self):
+        rng = np.random.default_rng(2026)
+        top_parities = set()
+        for _ in range(3000):
+            nu = np.sort(rng.choice(np.arange(1, 20_000), size=rng.integers(1, 400),
+                                    replace=False)) * 1e3
+            params = OpoParams.from_correlation(rng.uniform(0.05, 1.0), rng.uniform(0.5e6, 6e6),
+                                                rng.uniform(-90.0, -70.0))
+            y_db = tracefit.synth_trace(params, "intensity", nu, rng.uniform(0.0, 0.3),
+                                        seed=int(rng.integers(2**31))).powers_dbm
+            if rng.random() < 0.3:
+                y_db = np.round(y_db, 1)  # ties in the top quarter
+            got = tracefit._initial_guess(nu, y_db)
+            want = oracles.initial_guess(nu, y_db)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            top_parities.add(max(1, nu.size // 4) % 2)
+        assert top_parities == {0, 1}
+
+
+class TestNonFiniteSamples:
+    # a NaN frequency passed the increasing check, a NaN or inf power ran the
+    # fit into "no damped step lowers the SSE", and a NaN floor power gave a
+    # NaN corrected squeezing level
+    @pytest.mark.parametrize("column, value", [
+        ("frequencies", np.nan), ("frequencies", np.inf),
+        ("powers", np.nan), ("powers", np.inf), ("powers", -np.inf),
+    ])
+    def test_rejected(self, column, value):
+        nu = tracefit.grid_hz(*COARSE_GRID)
+        powers = np.full(nu.size, -80.0)
+        (nu if column == "frequencies" else powers)[100] = value
+        with pytest.raises(ValidationError, match="must be finite"):
+            tracefit.SpectrumTrace(nu, powers)
+
+
 class TestPrediction:
     def fit_a(self):
         trace = tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, 0.0)
