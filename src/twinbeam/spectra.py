@@ -30,9 +30,17 @@ DBM = "dbm"
 
 
 def _check_xi(xi):
-    """Validate xi in [0, 1]; scalars stay scalar, arrays broadcast."""
+    """Validate xi in [0, 1]; scalars come back as floats, arrays broadcast.
+
+    A Python or numpy float is checked in floats, without the overhead of
+    numpy calls on one number.
+    """
+    if isinstance(xi, (float, int)):
+        if xi < 0.0 or xi > 1.0:
+            raise ValidationError(f"correlation coefficient xi must be in [0, 1], got {xi}")
+        return float(xi)
     arr = np.asarray(xi, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if (arr < 0.0).any() or (arr > 1.0).any():
         raise ValidationError(f"correlation coefficient xi must be in [0, 1], got {xi}")
     return float(arr) if arr.ndim == 0 else arr
 
@@ -147,7 +155,7 @@ def phase_diff_spectrum(u, xi: float):
     """Phase-difference noise 1 + xi / u^2, antisqueezed; pole at u = 0."""
     xi = _check_xi(xi)
     u = np.asarray(u, dtype=float)
-    if np.any(u == 0.0):
+    if (u == 0.0).any():
         raise DomainError("phase-difference spectrum diverges at u = 0")
     out = 1.0 + xi / u**2
     return float(out) if out.ndim == 0 else out
@@ -187,7 +195,7 @@ def uncertainty_excess(u, xi: float):
 
 def relative_to_dbm(values, s0_dbm: float):
     values = np.asarray(values, dtype=float)
-    if np.any(values <= 0.0):
+    if (values <= 0.0).any():
         raise DomainError("relative power must be positive for dBm conversion")
     out = s0_dbm + 10.0 * np.log10(values)
     return float(out) if out.ndim == 0 else out

@@ -51,6 +51,7 @@ _N_PARAMS = 3
 _XI_MIN = 1e-9
 _LAMBDA0 = 1e-3
 _LAMBDA_FACTOR = 10.0
+_EPS = float(np.finfo(float).eps)
 
 _LOG10_SCALE = 10.0 / np.log(10.0)
 
@@ -391,12 +392,11 @@ def _model(nu2, params, linear):
     return f, r2, a, m
 
 
-def _jacobian(params, f, r2, a, m, linear):
-    """(3, n) rows of df/d(S0, xi, delta) from :func:`_model`'s factors:
-    1, -(10/ln 10)/m, and the xi row times 2 xi r^2/(delta a). In linear
-    power each row is scaled by f ln(10)/10."""
+def _jacobian(params, f, r2, a, m, linear, jac):
+    """Write the (3, n) rows of df/d(S0, xi, delta) into ``jac`` from
+    :func:`_model`'s factors: 1, -(10/ln 10)/m, and the xi row times
+    2 xi r^2/(delta a). In linear power each row is scaled by f ln(10)/10."""
     _, xi, delta = params
-    jac = np.empty((_N_PARAMS, r2.size))
     jac[0] = 1.0
     np.divide(-_LOG10_SCALE, m, out=jac[1])
     np.multiply(r2, 2.0 * xi / delta, out=jac[2])
@@ -404,7 +404,6 @@ def _jacobian(params, f, r2, a, m, linear):
     jac[2] *= jac[1]
     if linear:
         jac *= f * (1.0 / _LOG10_SCALE)
-    return jac
 
 
 def _damped_step(gram, free, lam):
@@ -442,6 +441,18 @@ def _damped_step(gram, free, lam):
     return (z0 - l10 * x1 - l20 * x2) / l00, x1, x2
 
 
+def _predicted_reduction(gram, step, lam):
+    """The SSE reduction 2 x^T J^T r - x^T J^T J x that the linearised model
+    predicts for the damped step x of :func:`_damped_step` (before it is
+    clamped). x solves (J^T J + lam diag J^T J) x = J^T r over the free
+    parameters and is 0 for a held one, so this equals
+    x^T J^T r + lam sum_i (J^T J)_ii x_i^2 (Moré 1978), the form used
+    here: its terms do not cancel."""
+    x0, x1, x2 = step
+    (a00, _, _, b0), (_, a11, _, b1), (_, _, a22, b2) = gram[:_N_PARAMS]
+    return x0 * (b0 + lam * a00 * x0) + x1 * (b1 + lam * a11 * x1) + x2 * (b2 + lam * a22 * x2)
+
+
 def _clamp_params(params, delta_floor):
     s0, xi, delta = params
     return s0, min(max(xi, _XI_MIN), 1.0), max(abs(delta), delta_floor)
@@ -467,9 +478,13 @@ def _initial_guess(nu, y_db):
     s0 = float(tail[half]) if tail.size % 2 else (float(tail[half - 1]) + float(tail[half])) / 2.0
     first = y_db[:3].tolist()
     low = reduce(add, first) / len(first)  # left to right like np.mean; sum() compensates on 3.12+
-    depth = 1.0 - 10.0 ** ((low - s0) / 10.0)
+    try:
+        depth = 1.0 - 10.0 ** ((low - s0) / 10.0)
+    except OverflowError:  # over 3080 dB above S0, a power ratio past the float range
+        depth = -math.inf
     xi = min(max(depth, 0.05), 0.995)
-    rel = 10.0 ** ((y_db - s0) / 10.0)
+    with np.errstate(over="ignore"):  # such a point's ratio is inf, as depth takes it
+        rel = 10.0 ** ((y_db - s0) / 10.0)
     half_level = 1.0 - depth / 2.0
     above = np.nonzero(rel >= half_level)[0]
     if above.size and above[0] > 0:
@@ -490,6 +505,17 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     (config.weight_space switches to linear power). Each candidate step
     costs one model evaluation; the Jacobian is rebuilt only after a step
     is accepted.
+
+    The fit converges when an accepted step improves the SSE by at most
+    convergence_tol times the SSE, or when the reduction the linearised
+    model predicts for the next damped step x, 2 x^T J^T r - x^T J^T J x
+    (Moré 1978), is at most the larger of convergence_tol times the SSE and
+    the SSE's rounding floor n (eps max|y_dB|)^2 (in linear power scaled by
+    (max y ln(10)/10)^2). That last candidate is evaluated once and kept
+    only if the SSE does not rise: below the floor a rise is rounding, and
+    retrying it at higher damping would only cost model passes. The
+    covariance is inv(J^T J) SSE/(n - 3) at the result, NaN where J^T J is
+    singular.
 
     Bounds: xi in [1e-9, 1] and delta at least 1e-9 of the highest fitted
     frequency; candidates are clamped into them. Where xi sits on a bound
@@ -523,6 +549,10 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     nu2 = nu * nu
     linear = config.weight_space == "linear"
     y = 10.0 ** (y_db / 10.0) if linear else y_db
+    # the SSE's rounding floor: n residuals of the dB data's rounding eps |y_db|,
+    # carried into linear power by dy/dy_db = y ln(10)/10
+    slope = float(y.max()) / _LOG10_SCALE if linear else 1.0
+    sse_floor = nu.size * (_EPS * float(np.abs(y_db).max()) * slope) ** 2
     f, *factors = _model(nu2, params, linear)
     res = y - f
     sse = float(res @ res)
@@ -533,9 +563,10 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         if accepted:
-            rows[:_N_PARAMS] = _jacobian(params, f, *factors, linear)
+            _jacobian(params, f, *factors, linear, rows[:_N_PARAMS])
             rows[_N_PARAMS] = res
-            gram = (rows @ rows.T).tolist()
+            normal = rows @ rows.T
+            gram = normal.tolist()
             grad_xi = gram[1][_N_PARAMS]
             if params[1] >= 1.0 and grad_xi > 0.0:
                 free = (0, 2)
@@ -544,8 +575,10 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
             else:
                 free = (0, 1, 2)
         step = _damped_step(gram, free, lam)
-        accepted = False
+        accepted = final = False
         if step is not None:
+            final = (_predicted_reduction(gram, step, lam)
+                     <= max(config.convergence_tol * sse, sse_floor))
             candidate = _clamp_params([p + dx for p, dx in zip(params, step)], delta_floor)
             cand_f, *cand_factors = _model(nu2, candidate, linear)
             cand_res = y - cand_f
@@ -555,13 +588,15 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
             improvement = sse - cand_sse
             params, f, factors, res, sse = candidate, cand_f, cand_factors, cand_res, cand_sse
             lam = max(lam / _LAMBDA_FACTOR, 1e-15)
-            if improvement <= config.convergence_tol * max(sse, 1e-30):
-                converged = True
-                break
+            converged = final or improvement <= config.convergence_tol * max(sse, 1e-30)
+        elif final:
+            converged = True
         else:
             lam = lam * _LAMBDA_FACTOR
             if lam > 1e15:
                 break
+        if converged:
+            break
     if not converged:
         reason = "no damped step lowers the SSE" if lam > 1e15 else "no convergence"
         raise FitConvergenceError(
@@ -574,20 +609,25 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     xi_at_boundary = params[1] >= 1.0 - 1e-12 or params[1] <= _XI_MIN * (1 + 1e-9)
     if xi_at_boundary:
         warnings.warn("fitted xi pinned at its boundary", stacklevel=2)
-    dof = max(nu.size - _N_PARAMS, 1)
-    db_res = y_db - _model(nu2, params, False)[0] if linear else res
-    jac = _jacobian(params, f, *factors, linear)
-    jtj = jac @ jac.T
+    if accepted:  # the last Gram product was taken before the step
+        jac = rows[:_N_PARAMS]
+        _jacobian(params, f, *factors, linear, jac)
+        normal = jac @ jac.T
     try:
-        cov = np.linalg.inv(jtj) * (sse / dof)
+        cov = np.linalg.inv(normal[:_N_PARAMS, :_N_PARAMS]) * (sse / (nu.size - _N_PARAMS))
     except np.linalg.LinAlgError:
         cov = np.full((3, 3), np.nan)
+    if linear:
+        db_res = y_db - _model(nu2, params, False)[0]
+        db_sse = float(db_res @ db_res)
+    else:
+        db_sse = sse
     return FitResult(
         s0_dbm=float(params[0]),
         xi=float(params[1]),
         delta_hz=float(params[2]),
         covariance=cov,
-        rms_residual_db=float(np.sqrt(np.mean(db_res**2))),
+        rms_residual_db=math.sqrt(db_sse / nu.size),
         points_used=int(nu.size),
         iterations=iterations,
         xi_at_boundary=xi_at_boundary,

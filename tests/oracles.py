@@ -193,6 +193,24 @@ def initial_guess(nu, y_db):
     return s0, float(np.clip(depth, 0.05, 0.995)), max(delta, 1e-6 * nu[-1])
 
 
+def residual_and_jacobian_at(nu, y_db, params, weight_space="db"):
+    """Residual y - f and the (n, 3) Jacobian df/d(S0, xi, delta) of the
+    textbook model at ``params``, in dB or in linear power."""
+    log10_scale = 10.0 / math.log(10.0)
+    s0, xi, delta = params
+    r2 = (nu / delta) ** 2
+    g = 1.0 - xi / (1.0 + r2)
+    f_db = s0 + 10.0 * np.log10(g)
+    jac = np.empty((nu.size, 3))
+    jac[:, 0] = 1.0
+    jac[:, 1] = -log10_scale / (g * (1.0 + r2))
+    jac[:, 2] = -log10_scale * 2.0 * xi * r2 / (g * delta * (1.0 + r2) ** 2)
+    if weight_space == "db":
+        return y_db - f_db, jac
+    f_lin = 10.0 ** (f_db / 10.0)
+    return 10.0 ** (y_db / 10.0) - f_lin, jac * (f_lin / log10_scale)[:, None]
+
+
 def fit_reference_lm(nu, y_db, weight_space="db", max_iterations=200, tol=1e-12):
     """The damped least-squares loop as it stood before the bounded step:
     a full Jacobian for every candidate, every parameter free on every step
@@ -203,22 +221,7 @@ def fit_reference_lm(nu, y_db, weight_space="db", max_iterations=200, tol=1e-12)
     """
     nu = np.asarray(nu, dtype=float)
     y_db = np.asarray(y_db, dtype=float)
-    log10_scale = 10.0 / math.log(10.0)
     delta_floor = 1e-9 * float(nu[-1])
-
-    def residual_and_jacobian(params):
-        s0, xi, delta = params
-        r2 = (nu / delta) ** 2
-        g = 1.0 - xi / (1.0 + r2)
-        f_db = s0 + 10.0 * np.log10(g)
-        jac = np.empty((nu.size, 3))
-        jac[:, 0] = 1.0
-        jac[:, 1] = -log10_scale / (g * (1.0 + r2))
-        jac[:, 2] = -log10_scale * 2.0 * xi * r2 / (g * delta * (1.0 + r2) ** 2)
-        if weight_space == "db":
-            return y_db - f_db, jac
-        f_lin = 10.0 ** (f_db / 10.0)
-        return 10.0 ** (y_db / 10.0) - f_lin, jac * (f_lin / log10_scale)[:, None]
 
     def clamp(params):
         s0, xi, delta = params
@@ -226,14 +229,14 @@ def fit_reference_lm(nu, y_db, weight_space="db", max_iterations=200, tol=1e-12)
 
     params = clamp(initial_guess(nu, y_db))
 
-    res, jac = residual_and_jacobian(params)
+    res, jac = residual_and_jacobian_at(nu, y_db, params, weight_space)
     sse = float(res @ res)
     lam = 1e-3
     for iterations in range(1, max_iterations + 1):
         jtj = jac.T @ jac
         step = np.linalg.solve(jtj + lam * np.diag(np.diagonal(jtj)), jac.T @ res)
         candidate = clamp(params + step)
-        cand_res, cand_jac = residual_and_jacobian(candidate)
+        cand_res, cand_jac = residual_and_jacobian_at(nu, y_db, candidate, weight_space)
         cand_sse = float(cand_res @ cand_res)
         if cand_sse <= sse:
             improvement = sse - cand_sse

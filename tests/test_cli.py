@@ -226,6 +226,22 @@ class TestFitCommand:
             nu, y_db, 0.8, 201, np.linspace(1.2e6, 2.4e6, 481))
         assert grid_xi == 1.0
         assert sse <= grid_sse * (1.0 + 1e-9)
+        assert fit["iterations"] <= 24
+
+    def test_start_guess_past_the_float_range_exits_5(self, tmp_path, capsys):
+        # the first three points sit 4080 dB above the rest: their power
+        # ratio overflows a float, which escaped the start guess as an
+        # OverflowError (exit 1); the guess now takes the ratio as inf
+        nu = np.arange(1, 40) * 0.25e6
+        powers = np.full(nu.size, -80.0)
+        powers[:3] = 4000.0
+        trace_path = tmp_path / "spike.csv"
+        tracefit.save_trace(tracefit.SpectrumTrace(nu, powers), trace_path)
+        code = run("fit", "--trace", str(trace_path), "--f-min", "0",
+                   "--output-prefix", str(tmp_path / "o"))
+        assert code == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "error: no damped step lowers the SSE" in err and "Traceback" not in err
 
     def test_undetermined_xi_on_the_bound_reports_its_error(self, tmp_path):
         # delta sits below the 2 MHz window start, so the window sees only

@@ -431,7 +431,8 @@ class TestBoundedFit:
                          for _ in range(8))):
             params = np.array(params)
             f, *factors = tracefit._model(nu * nu, params, linear)
-            jac = tracefit._jacobian(params, f, *factors, linear)
+            jac = np.empty((3, nu.size))
+            tracefit._jacobian(params, f, *factors, linear, jac)
             for k, h in enumerate((1e-4, 1e-7, 1e-6 * params[2])):
                 up, down = params.copy(), params.copy()
                 up[k] += h
@@ -472,12 +473,20 @@ class TestBoundedFit:
         # that is not relative to the data would stop these fits early
         rng = np.random.default_rng(300)
         config = tracefit.FitConfig.standard(weight_space=space)
+        iterations = []
         for _ in range(300):
             truth = np.array([rng.uniform(-85.0, -75.0), rng.uniform(0.3, 0.95),
                               rng.uniform(1.5e6, 4e6)])
             trace = tracefit.synth_trace(OpoParams.from_correlation(*truth[1:], truth[0]))
             fit = tracefit.fit_intensity_spectrum(trace, config)
             np.testing.assert_allclose([fit.s0_dbm, fit.xi, fit.delta_hz], truth, rtol=1e-9)
+            iterations.append(fit.iterations)
+        # stopping only on a small achieved improvement, these fits took up to
+        # 41 (dB) and 31 (linear) iterations, 18.6 and 11.7 on average, many
+        # of them retrying steps at rounding level; the longest fits left
+        # spend theirs far from the optimum
+        assert max(iterations) <= 24
+        assert np.mean(iterations) < 10.0
 
     def test_near_bound_sweep_converges(self):
         # the loop that clamped xi after an unconstrained step ran out of
@@ -527,6 +536,64 @@ class TestBoundedFit:
             tracefit.fit_intensity_spectrum(trace, tracefit.FitConfig.standard())
 
 
+class TestStopRule:
+    @pytest.mark.parametrize("space", ["db", "linear"])
+    @pytest.mark.parametrize("noise_db", [0.0, 0.1])
+    def test_zero_tolerance_converges_at_the_rounding_floor(self, space, noise_db):
+        # with no relative tolerance only the SSE's rounding floor ends the
+        # fit; it must not run out its iterations retrying rounding-level steps
+        trace = tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, noise_db, seed=3)
+        fit = tracefit.fit_intensity_spectrum(
+            trace, tracefit.FitConfig.standard(weight_space=space, convergence_tol=0.0))
+        assert fit.iterations <= 30
+        default = tracefit.fit_intensity_spectrum(
+            trace, tracefit.FitConfig.standard(weight_space=space))
+        np.testing.assert_allclose([fit.s0_dbm, fit.xi, fit.delta_hz],
+                                   [default.s0_dbm, default.xi, default.delta_hz], rtol=1e-9)
+
+    @pytest.mark.parametrize("space", ["db", "linear"])
+    def test_covariance_is_numpys_on_either_exit(self, space, monkeypatch):
+        # the loop ends after a kept step (J rebuilt at the result) or after a
+        # rejected one (the Gram product in hand is already at the result)
+        events = []
+        jacobian, model = tracefit._jacobian, tracefit._model
+        monkeypatch.setattr(tracefit, "_jacobian",
+                            lambda *args: (events.append("J"), jacobian(*args))[1])
+        monkeypatch.setattr(tracefit, "_model", lambda nu2, params, linear: (
+            events.append(linear), model(nu2, params, linear))[1])
+        linear = space == "linear"
+        config = tracefit.FitConfig.standard(weight_space=space)
+        rng = np.random.default_rng(1013)
+        exits = set()
+        for _ in range(40):
+            params = OpoParams.from_correlation(
+                rng.uniform(0.3, 0.9), rng.uniform(2.5e6, 4e6), rng.uniform(-82.0, -78.0))
+            trace = tracefit.synth_trace(params, "intensity", COARSE_GRID,
+                                         rng.uniform(0.02, 0.2), seed=int(rng.integers(2**31)))
+            events.clear()
+            fit = tracefit.fit_intensity_spectrum(trace, config)
+            # the last candidate model in the weight space, or a Jacobian after it
+            exits.add([e for e in events if e in ("J", linear)][-1] == "J")
+            nu, y_db = windowed(trace, config)
+            res, jac = oracles.residual_and_jacobian_at(
+                nu, y_db, (fit.s0_dbm, fit.xi, fit.delta_hz), space)
+            want = np.linalg.inv(jac.T @ jac) * (res @ res) / (nu.size - 3)
+            np.testing.assert_allclose(fit.covariance, want, rtol=1e-8, atol=0.0)
+        assert exits == {True, False}
+
+    def test_singular_normal_equations_give_a_nan_covariance(self):
+        # at delta = 1e200 every r^2 underflows to 0 and the delta column of J
+        # is exactly 0; xi is held on its lower bound and only S0 moves
+        nu = tracefit.grid_hz(0.4e6, 10.5e6, 50e3)
+        trace = tracefit.SpectrumTrace(
+            nu, -80.0 + 0.1 * np.random.default_rng(4).normal(size=nu.size))
+        config = tracefit.FitConfig.standard(initial_guess=(-81.0, 1e-9, 1e200))
+        with pytest.warns(UserWarning, match="pinned at its boundary"):
+            fit = tracefit.fit_intensity_spectrum(trace, config)
+        assert fit.s0_dbm == pytest.approx(windowed(trace, config)[1].mean(), abs=1e-6)
+        assert np.isnan(fit.covariance).all()
+
+
 FREE_SETS = [(0, 1, 2), (0, 2), (0,)]
 
 
@@ -555,6 +622,22 @@ class TestScalarArithmetic:
         # apart at cond 6.8e7): 1e-9 holds up to cond ~5e5, 8 cond eps above
         bound = max(1e-9, 8.0 * np.linalg.cond(damped) * np.finfo(float).eps)
         assert np.linalg.norm(np.subtract(got, want)) <= bound * np.linalg.norm(want)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from(FREE_SETS), st.floats(-15.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_predicted_reduction_is_the_linear_model_one(self, free, log_lam, seed):
+        # ||r||^2 - ||r - J x||^2 = 2 x^T J^T r - x^T J^T J x for the damped step x
+        rng = np.random.default_rng(seed)
+        jac = rng.normal(size=(20, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+        res = rng.normal(size=20) * 10.0 ** rng.uniform(-3.0, 3.0)
+        rows = np.vstack([jac.T, res])
+        gram = (rows @ rows.T).tolist()
+        lam = 10.0**log_lam
+        step = tracefit._damped_step(gram, free, lam)
+        x = np.array(step)
+        want = res @ res - (res - jac @ x) @ (res - jac @ x)
+        got = tracefit._predicted_reduction(gram, step, lam)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * (res @ res))
 
     @pytest.mark.parametrize("lam", [1e-15, 1e-3, 1e3])
     @pytest.mark.parametrize("free", FREE_SETS)
