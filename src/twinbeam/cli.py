@@ -26,14 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fock, spectra, tracefit
-from .errors import (
-    CapacityError,
-    DomainError,
-    FitConvergenceError,
-    TraceParseError,
-    TwinbeamError,
-    ValidationError,
-)
+from .errors import FitConvergenceError, TraceParseError, TwinbeamError, ValidationError
 from .modes import ModeLabel, Polarization, Port
 
 EXIT_OK = 0
@@ -384,7 +377,7 @@ def main(argv=None) -> int:
     except FitConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ValidationError, DomainError, CapacityError, TwinbeamError) as exc:
+    except TwinbeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

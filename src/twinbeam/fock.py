@@ -250,8 +250,8 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
 # U|k, m> = (alpha c+ + beta d+) U|k-1, m> / sqrt(k) cancels like the
 # alternating binomial sums (unitarity off by 6e-9 at cutoff 60, 79 at 120).
 # Sectors with n above the cutoff cannot be represented exactly under the
-# truncation; they are left as the identity and callers must keep state
-# support out of them.
+# truncation; their real blocks are left as the identity and callers must
+# keep state support out of them.
 #
 # Every unitary M is phase shifters around a real rotation (Reck et al., PRL
 # 73, 58 (1994)): M = diag(1, p) R diag(q1, q2) with R = [[c, -s], [s, c]],
@@ -261,6 +261,8 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
 #   B_n(M)[j, k] = q1^j q2^(n-j) d_n[j, k] p^(n-k)
 # with d_n the real block of R. The recursion therefore runs once per (c, s)
 # in real arithmetic, and both splitter conventions at one angle share it.
+# The phases are single-mode phase shifters, exact on every occupation, so a
+# scatter applies them per mode and only R goes through the sectors.
 # ---------------------------------------------------------------------------
 
 _UNITARY_TOL = 1e-12
@@ -317,15 +319,16 @@ def _powers(phases, dim: int) -> np.ndarray:
 
 
 def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sector blocks of a two-mode unitary optic as ``(rows, blocks, cols)``.
+    """A two-mode unitary optic as ``(phase_in, blocks, phase_out)``: the real
+    rotation's read-only float64 sector blocks d_n, stacked (dim, dim, dim),
+    between single-mode phase shifters, the (dim,) powers p^m on mode b and
+    the (dim, dim) products q1^j q2^k on modes c, d.
 
-    ``blocks`` is the read-only float64 stack (dim, dim, dim) of the real
-    rotation blocks d_n, and ``rows``, ``cols`` are complex (dim, dim) phases,
-    so that block n of the optic is ``rows[n, :, None] * blocks[n] *
-    cols[n, None, :]``. It maps |k, n-k> to |j, n-j> in its leading
-    (n+1) x (n+1) corner; beyond it the phases are 1 and the blocks carry the
-    identity. The real blocks of the last rotation are kept and shared by
-    every later call with the same (c, s) and at most the same dim.
+    Block n of the optic, mapping |k, n-k> to |j, n-j>, is
+    ``phase_out[j, n-j] * blocks[n, j, k] * phase_in[n-k]`` in the leading
+    (n+1) x (n+1) corner; beyond it the blocks carry the identity. The real
+    blocks of the last rotation are kept and shared by every later call with
+    the same (c, s) and at most the same dim.
 
     Raises ValidationError when the 2x2 mode map is not unitary.
     """
@@ -348,75 +351,67 @@ def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray
     if (c, s) != (cached_c, cached_s) or len(blocks) < dim:
         blocks = _rotation_blocks(c, s, dim)
         _rotation = (c, s, blocks)
-    # |j, n-j> sits at pair index j*dim + n-j and at sector slot n*dim + j, so
-    # q1^j q2^(n-j) is the outer product at the pair index, and p^(n-j) is p
-    # to the pair index mod dim
-    pair, slot = _sector_index(dim)
-    rows = np.ones(dim * dim, dtype=np.complex128)
-    cols = np.ones(dim * dim, dtype=np.complex128)
     q1_powers, q2_powers, p_powers = _powers((q1, q2, p), dim)
-    rows[slot] = np.multiply.outer(q1_powers, q2_powers).ravel()[pair]
-    cols[slot] = p_powers[pair % dim]
-    return rows.reshape(dim, dim), blocks[:dim, :dim, :dim], cols.reshape(dim, dim)
+    return p_powers, blocks[:dim, :dim, :dim], np.multiply.outer(q1_powers, q2_powers)
 
 
 @lru_cache(maxsize=16)
-def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat pair index k*dim + n-k and padded-stack slot n*dim + k of every
-    |k, n-k> in the sectors n <= dim - 1."""
+    |k, n-k> in the sectors n <= dim - 1, and the (dim, dim) mask of the
+    occupations (n_a, n_b) whose total exceeds dim - 1."""
     n, k = np.tril_indices(dim)
     pair, slot = k * dim + (n - k), n * dim + k
-    pair.setflags(write=False)
-    slot.setflags(write=False)
-    return pair, slot
+    overflow = np.add.outer(np.arange(dim), np.arange(dim)) >= dim
+    for index in (pair, slot, overflow):
+        index.setflags(write=False)
+    return pair, slot, overflow
 
 
-def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, rows: np.ndarray,
-                   blocks: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Apply the sector blocks rows * blocks * cols to axes ax1, ax2, every
-    other axis (the ensemble's among them) riding along: the column phases
-    as the amplitudes are gathered into the sector stack, the real blocks on
-    a float64 view of that complex stack, and the row phases as the
-    amplitudes are read back."""
+def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
+                   blocks: np.ndarray, phase_out: np.ndarray) -> tuple[np.ndarray, float]:
+    """Apply the optic ``pair_unitary`` returns to axes ax1, ax2, every other
+    axis (the ensemble's among them) riding along; return the image and the
+    weight on occupations whose pair total exceeds the cutoff.
+
+    That weight cannot scatter exactly under the truncation; above the
+    leakage threshold it raises CapacityError before any work is done. Only
+    the real blocks act sector by sector, on a float64 view of the sector
+    stack. The phases act per mode: p^m on each amplitude gathered into the
+    stack and on the b axis of the output, q1^j q2^k on both of its axes.
+    """
     dim = tensor.shape[ax1]
+    pair, slot, overflow = _sector_index(dim)
+    # the (dim, dim) mask spread over the pair's axes; it is symmetric, so
+    # ax1 > ax2 reads it alike
+    shape = [1] * (tensor.ndim - 1)
+    shape[ax1 - 1] = shape[ax2 - 1] = dim
+    outside = tensor[:, np.broadcast_to(overflow.reshape(shape), tensor.shape[1:])]
+    weight = float(np.sum(np.abs(outside) ** 2))
+    if weight > LEAKAGE_THRESHOLD:
+        raise CapacityError(
+            f"interfering pair carries probability {weight:.3g} above cutoff "
+            f"{dim - 1}; rebuild the state with a larger cutoff"
+        )
     moved = np.moveaxis(tensor, (ax1, ax2), (0, 1))
-    flat = moved.reshape(dim * dim, -1)
-    pair, slot = _sector_index(dim)
-    stack = np.zeros((dim * dim, flat.shape[1]), dtype=np.complex128)
-    stack[slot] = flat[pair] * cols.reshape(-1, 1)[slot]
-    stack = blocks @ stack.view(np.float64).reshape(dim, dim, -1)
+    stack = np.zeros((dim * dim, tensor.size // dim**2), dtype=np.complex128)
+    # the amplitude at pair index k*dim + m has m photons in b
+    stack[slot] = moved.reshape(dim * dim, -1)[pair] * phase_in[pair % dim, None]
     # each stack is reassigned, not kept under a new name, so it is freed once read
+    stack = blocks @ stack.view(np.float64).reshape(dim, dim, -1)
     stack = stack.view(np.complex128).reshape(dim * dim, -1)[slot]
-    stack *= rows.reshape(-1, 1)[slot]
-    out = flat.copy()
-    out[pair] = stack
-    return np.moveaxis(out.reshape(moved.shape), (0, 1), (ax1, ax2))
+    # The output is made only now, so that it can take the memory the
+    # rotation freed, and in C order, so that its reshape is a view.
+    spread = (1,) * (tensor.ndim - 2)
+    out = np.multiply(moved, phase_in.reshape(dim, *spread), order="C")
+    out.reshape(dim * dim, -1)[pair] = stack
+    out *= phase_out.reshape(dim, dim, *spread)
+    return np.moveaxis(out, (0, 1), (ax1, ax2)), weight
 
 
 # ---------------------------------------------------------------------------
 # Optics
 # ---------------------------------------------------------------------------
-
-
-def _pair_overflow_weight(tensor: np.ndarray, i: int, j: int, cutoff: int) -> float:
-    """Probability weight on basis states whose total in modes i, j of the
-    (K, dim, ..., dim) tensor exceeds the cutoff.
-
-    Those sectors cannot scatter exactly under the truncation; weight at the
-    truncation-leakage level is tolerated and accounted, anything larger is a
-    capacity error.
-    """
-    occ = _occupations(cutoff + 1, tensor.ndim - 1)
-    overflow = (occ[i] + occ[j]) > cutoff
-    if not overflow.any():
-        return 0.0
-    weight = float(np.sum(np.abs(tensor.reshape(len(tensor), -1)[:, overflow]) ** 2))
-    if weight > LEAKAGE_THRESHOLD:
-        raise CapacityError(
-            f"interfering pair carries probability {weight:.3g} above cutoff "
-            f"{cutoff}; rebuild the state with a larger cutoff"
-        )
-    return weight
 
 
 def _pair_coefficients(mixing_angle: float, convention: str) -> tuple:
@@ -433,8 +428,10 @@ def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeStat
     with mode matrix ``coefficients``, then relabel every mode by ``moved``.
 
     A label absent from the state enters as vacuum, appended in pair order.
-    The sector blocks are built once and shared by all pairs; the vectors
-    go through as one (K, dim, ..., dim) tensor, axis 0 the ensemble.
+    The optic's phases and real blocks are built once and shared by all
+    pairs; the vectors go through as one (K, dim, ..., dim) tensor, axis 0
+    the ensemble. The weight each pair holds above the cutoff is added to
+    the state's truncation leakage.
     """
     modes, dim = state.modes, state.dim
     tensor = state.vectors.reshape((-1,) + (dim,) * state.n_modes)
@@ -443,12 +440,12 @@ def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeStat
             padded = np.zeros(tensor.shape + (dim,), dtype=np.complex128)
             padded[..., 0] = tensor
             tensor, modes = padded, modes + (label,)
-    sectors = pair_unitary(*coefficients, dim)
+    optic = pair_unitary(*coefficients, dim)
     leakage = state.truncation_leakage
     for label_i, label_j in pairs:
         i, j = modes.index(label_i), modes.index(label_j)
-        leakage += _pair_overflow_weight(tensor, i, j, state.cutoff)
-        tensor = _contract_pair(tensor, i + 1, j + 1, *sectors)
+        tensor, weight = _contract_pair(tensor, i + 1, j + 1, *optic)
+        leakage += weight
     return MultimodeState(tuple(map(moved, modes)), state.cutoff,
                           tensor.reshape(len(tensor), -1), leakage)
 

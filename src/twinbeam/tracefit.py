@@ -524,7 +524,8 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     At 1e-9 delta is held too: the model then depends on it only through xi.
 
     Raises FitConvergenceError with the last iterate when max_iterations
-    run out or when no damped step lowers the SSE.
+    run out or when no damped step lowers the SSE, and ValidationError when
+    a power in the window is past the float range in linear power.
     """
     config = config or FitConfig()
     work = trace
@@ -548,7 +549,13 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
 
     nu2 = nu * nu
     linear = config.weight_space == "linear"
-    y = 10.0 ** (y_db / 10.0) if linear else y_db
+    y = y_db
+    if linear:
+        with np.errstate(over="ignore"):
+            y = 10.0 ** (y_db / 10.0)
+        if not np.isfinite(y).all():
+            raise ValidationError(f"power {y_db.max():g} dBm is past what linear power can "
+                                  "hold in a float; fit it in dB")
     # the SSE's rounding floor: n residuals of the dB data's rounding eps |y_db|,
     # carried into linear power by dy/dy_db = y ln(10)/10
     slope = float(y.max()) / _LOG10_SCALE if linear else 1.0

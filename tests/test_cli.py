@@ -243,6 +243,24 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "error: no damped step lowers the SSE" in err and "Traceback" not in err
 
+    def test_power_past_the_linear_range_exits_4(self, tmp_path, capsys):
+        # in linear power 4000 dBm is 10^400 mW, past the float range: the
+        # fit must refuse it as input, not run on to an inf SSE
+        nu = np.arange(1, 40) * 0.25e6
+        powers = np.full(nu.size, -80.0)
+        powers[:3] = 4000.0
+        trace_path = tmp_path / "spike.csv"
+        tracefit.save_trace(tracefit.SpectrumTrace(nu, powers), trace_path)
+        for space, exit_code, message in (
+            ("linear", cli.EXIT_VALIDATION, "error: power 4000 dBm is past what linear power"),
+            ("db", cli.EXIT_CONVERGENCE, "error: no damped step lowers the SSE"),
+        ):
+            code = run("fit", "--trace", str(trace_path), "--f-min", "0", "--weight-space",
+                       space, "--output-prefix", str(tmp_path / space))
+            assert code == exit_code, space
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, space
+
     def test_undetermined_xi_on_the_bound_reports_its_error(self, tmp_path):
         # delta sits below the 2 MHz window start, so the window sees only
         # the tail of the dip, xi and delta trade off, and the optimum lands

@@ -13,10 +13,15 @@ from twinbeam.modes import ModeLabel, Polarization, Port
 H, V = Polarization.H, Polarization.V
 
 
-def composed_blocks(sectors):
-    """The complex sector blocks rows[n, j] * blocks[n, j, k] * cols[n, k] of
-    the three factors ``pair_unitary`` returns."""
-    rows, blocks, cols = sectors
+def composed_blocks(optic):
+    """The complex sector blocks phase_out[j, n-j] * blocks[n, j, k] *
+    phase_in[n-k] of the three factors ``pair_unitary`` returns, with unit
+    phases on the identity beyond each sector's corner."""
+    phase_in, blocks, phase_out = optic
+    n, j = np.indices(phase_out.shape)
+    inside = j <= n
+    rows = np.where(inside, phase_out[j, n - j], 1.0)
+    cols = np.where(inside, phase_in[n - j], 1.0)
     return rows[:, :, None] * blocks * cols[:, None, :]
 
 
@@ -329,6 +334,30 @@ class TestWaveplatePolarizer:
         with pytest.raises(ValidationError):
             fock.apply_waveplate_polarizer(fock.make_fock([1, 1], cutoff=2), 0.1)
 
+    def test_weight_above_the_cutoff_gets_only_the_phase_shifters(self):
+        # coherent light leaves a leakage-level weight on H + V > cutoff,
+        # which the real rotation cannot reach; the phases still act there
+        cutoff, theta = 12, 1.2
+        modes = (ModeLabel(H, 0, Port.A), ModeLabel(V, 0, Port.A))
+        state = fock.make_coherent_pair(0.7 * np.exp(0.4j), 0.72 * np.exp(-1.9j), cutoff,
+                                        modes=modes)
+        out = fock.apply_waveplate_polarizer(state, theta)
+        psi = state.amplitudes
+        n_h, n_v = np.indices((cutoff + 1,) * 2).reshape(2, -1)
+        outside = n_h + n_v > cutoff
+        weight = float(np.sum(np.abs(psi[outside]) ** 2))
+        assert 1e-12 < weight < fock.LEAKAGE_THRESHOLD
+        assert out.truncation_leakage == pytest.approx(
+            state.truncation_leakage + weight, rel=1e-12, abs=0.0)
+        reference = oracles.splitter_unitary_expm(cutoff + 1, 2.0 * theta, fock.ROTATION) @ psi
+        assert np.abs(out.amplitudes - reference)[~outside].max() <= 1e-12
+        # the plate's map [[c, -s], [s, c]] is diag(1, p) R diag(q1, q2)
+        c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+        q1, q2 = np.sign(c), np.sign(s)
+        p = 1.0 / (q1 * q2)
+        expected = psi * q1**n_h * q2**n_v * p**n_v
+        np.testing.assert_array_equal(out.amplitudes[outside], expected[outside])
+
 
 class TestDensityMatrix:
     """An optic maps each vector of an ensemble to its pure image, so the
@@ -493,8 +522,8 @@ class TestInvariants:
         dim = 6
         for theta in np.linspace(0.0, 2.0 * np.pi, 17):
             for convention in (fock.SYMMETRIC_I, fock.ROTATION):
-                sectors = fock.pair_unitary(*self.coefficients(theta, convention), dim)
-                err = expm_oracle_error(composed_blocks(sectors), theta, convention)
+                optic = fock.pair_unitary(*self.coefficients(theta, convention), dim)
+                err = expm_oracle_error(composed_blocks(optic), theta, convention)
                 assert err <= 1e-12, (theta, convention, err)
 
     @pytest.mark.parametrize("mode_map", [
@@ -593,7 +622,7 @@ class TestRotationCache:
         fresh = fock.pair_unitary(*sym, 9)
         large = fock.pair_unitary(*sym, 61)
         sliced = fock.pair_unitary(*sym, 9)
-        assert [f.shape for f in sliced] == [(9, 9), (9, 9, 9), (9, 9)]
+        assert [f.shape for f in sliced] == [(9,), (9, 9, 9), (9, 9)]
         for got, want in zip(sliced, fresh):
             np.testing.assert_array_equal(got, want)
         assert np.shares_memory(sliced[1], large[1])
@@ -614,14 +643,14 @@ class TestRotationCache:
     def test_returned_factors_cannot_change_a_later_scatter(self):
         state = fock.make_fock([3, 3], 6)
         before = fock.apply_beam_splitter(state).amplitudes
-        rows, blocks, cols = fock.pair_unitary(
+        phase_in, blocks, phase_out = fock.pair_unitary(
             *self.coefficients(fock.BALANCED_ANGLE, fock.SYMMETRIC_I), 7)
         assert not blocks.flags.writeable
         with pytest.raises(ValueError):
             blocks[3, 0, 0] = 2.0
         with pytest.raises(ValueError):
             blocks.setflags(write=True)
-        rows[...] = 0.0  # the phases are the caller's own arrays
-        cols[...] = 0.0
+        phase_in[...] = 0.0  # the phases are the caller's own arrays
+        phase_out[...] = 0.0
         after = fock.apply_beam_splitter(state).amplitudes
         np.testing.assert_array_equal(after, before)
