@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--exclude", action="append", metavar="LO:HI", type=_band,
                        help="exclusion band in Hz, repeatable")
     p_fit.add_argument("--guess", type=_numbers(",", 3, "s0_dbm,xi,delta_hz"),
-                       help="initial guess s0_dbm,xi,delta_hz")
+                       help="initial guess s0_dbm,xi,delta_hz; s0_dbm is not used, since "
+                            "S0 is solved in closed form at every (xi, delta)")
     p_fit.add_argument("--weight-space", choices=("db", "linear"))
     p_fit.add_argument("--phase-grid", metavar="START,STOP,STEP", type=_grid,
                        help="grid for the predicted phase curve (Hz)")

@@ -193,19 +193,17 @@ class FockCrossCheck:
 
 def cross_check_against_fock(
     alpha: complex,
-    cov_model: np.ndarray | None = None,
     cutoff: int = 24,
     thetas=(0.0, np.pi / 16, np.pi / 8),
 ) -> FockCrossCheck:
     """Compare linearized dN_minus(theta) with the exact Fock statistics.
 
-    The exact side scatters a coherent pair through the wave plate and
-    polarizer; its fluctuations are vacuum-level, so agreement is expected
-    for a vacuum cov_model (the default). Truncation leakage above 1e-8
-    invalidates the comparison.
+    Both sides hold the same state: the exact side scatters a coherent pair
+    through the wave plate and polarizer, and the linearized side gives that
+    pair vacuum fluctuations. Truncation leakage above 1e-8 invalidates the
+    comparison.
     """
     alpha = complex(alpha)
-    cov = vacuum_covariance() if cov_model is None else validate_covariance(cov_model)
     pair_modes = (
         ModeLabel(Polarization.H, 0, Port.A),
         ModeLabel(Polarization.V, 0, Port.A),
@@ -216,7 +214,7 @@ def cross_check_against_fock(
             f"truncation leakage {state.truncation_leakage:.3g} too large for a "
             "meaningful comparison; increase the cutoff"
         )
-    quad = QuadratureState(alpha, alpha, cov)
+    quad = QuadratureState(alpha, alpha)
     exact, linearized, errors = [], [], []
     for theta in thetas:
         scattered = fock.apply_waveplate_polarizer(state, theta)

@@ -5,7 +5,8 @@ in linear power, fits the intensity-difference model
 
     P(nu) = S0_dBm + 10 log10(1 - xi / (1 + (nu/delta)^2))
 
-by deterministic, bounded damped least squares, and predicts the
+with S0 in closed form at every (xi, delta) and (xi, delta) by
+deterministic, bounded damped least squares, and predicts the
 phase-difference trace from the same three parameters with no extra freedom.
 
 Trace CSV format: UTF-8, optional ``#`` comment lines carrying
@@ -52,6 +53,7 @@ _XI_MIN = 1e-9
 _LAMBDA0 = 1e-3
 _LAMBDA_FACTOR = 10.0
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 _LOG10_SCALE = 10.0 / np.log(10.0)
 
@@ -105,7 +107,7 @@ class FitConfig:
     fit_window_hz: tuple[float, float] | None = None
     exclusions_hz: tuple[tuple[float, float], ...] = ()
     noise_floor: SpectrumTrace | None = None
-    initial_guess: tuple[float, float, float] | None = None  # (s0_dbm, xi, delta_hz)
+    initial_guess: tuple[float, float, float] | None = None  # (s0_dbm, xi, delta_hz); s0 unused
     max_iterations: int = 200
     convergence_tol: float = 1e-12
     weight_space: str = "db"  # "db" or "linear"
@@ -369,27 +371,33 @@ def subtract_noise_floor(
 # ---------------------------------------------------------------------------
 
 
-def _model(nu2, params, linear):
-    """The model in the fit's weight space, and the factors r^2, a, m that
-    its Jacobian shares.
+def _model(nu2, params, y, y_sum, linear):
+    """The model in the fit's weight space at its optimal S0 for the data
+    ``y``, that S0, and the factors r^2, a, m that its Jacobian shares.
+    ``y_sum`` is sum(y), which the dB closed form reads: a fit forms it once.
 
-    With r = nu/delta, a = 1 + r^2 and m = (1 - xi) + r^2 the dB model is
-    S0 + 10 log10(m/a) and the linear one 10^(S0/10) m/a. Forming 1 - xi
-    before adding r^2 keeps m/a free of the cancellation in 1 - xi/a as
-    xi -> 1.
+    With r = nu/delta, a = 1 + r^2, m = (1 - xi) + r^2 and g = m/a the dB
+    model is S0 + h with h = 10 log10 g, and the linear one 10^(S0/10) g.
+    S0 enters as an offset in dB and as a scale in linear power, so for
+    the given (xi, delta) it has a closed form (Golub & Pereyra 1973):
+    (sum y - sum h)/n in dB and 10 log10(<y, g>/<g, g>) in linear power.
+    The S0 entry of ``params`` is not read. Forming 1 - xi before adding
+    r^2 keeps g free of the cancellation in 1 - xi/a as xi -> 1.
     """
-    s0, xi, delta = params
+    _, xi, delta = params
     r2 = nu2 * (1.0 / (delta * delta))
     a = 1.0 + r2
     m = (1.0 - xi) + r2
     f = m / a
     if linear:
-        f *= 10.0 ** (s0 / 10.0)
-        return f, r2, a, m
+        scale = float(y @ f) / float(f @ f)
+        f *= scale
+        return f, 10.0 * math.log10(scale), r2, a, m
     np.log10(f, out=f)
     f *= 10.0
+    s0 = (y_sum - float(np.add.reduce(f))) / f.size
     f += s0
-    return f, r2, a, m
+    return f, s0, r2, a, m
 
 
 def _jacobian(params, f, r2, a, m, linear, jac):
@@ -407,50 +415,38 @@ def _jacobian(params, f, r2, a, m, linear, jac):
 
 
 def _damped_step(gram, free, lam):
-    """(dS0, dxi, ddelta) solving (J^T J + lam diag J^T J) x = J^T r for the
-    ``free`` parameters, the others held, or None where a pivot is not
-    positive (the residual no longer sees a parameter). ``gram`` is the Gram
-    matrix of the rows (J; r). Cholesky in floats, on the 3x3 system where
-    a held parameter's row and column are the identity's and its right-hand
-    side is 0: its step is then 0 and the factor of the free k x k system
-    is computed with the same operations."""
+    """(dxi, ddelta, predicted SSE reduction) of the damped step for the
+    ``free`` parameters, or None where a pivot is not positive (the
+    residual no longer sees a parameter). ``gram`` is the Gram matrix of
+    the rows (J; r) with S0 at its closed form.
+
+    S0 is eliminated by the Schur complement of its pivot: A = J_p^T J_p
+    and b = J_p^T r for the xi and delta rows J_p of J with the S0 row
+    projected out (Kaufman 1975). b keeps the S0 term, because J_S0^T r
+    is the closed form's rounding residue. x solves (A + lam diag A) x = b
+    over the free parameters and is 0 for a held one, so the reduction
+    2 x^T b - x^T A x that the linearised model predicts equals
+    x^T b + lam sum_i A_ii x_i^2 (Moré 1978), the form returned: its terms
+    do not cancel. Elimination in Python floats."""
     (a00, a01, a02, b0), (_, a11, a12, b1), (_, _, a22, b2) = gram[:_N_PARAMS]
-    if 1 not in free:
-        a01, a11, a12, b1 = 0.0, 1.0, 0.0, 0.0
-    if 2 not in free:
-        a02, a12, a22, b2 = 0.0, 0.0, 1.0, 0.0
-    damp = 1.0 + lam
-    d0 = a00 * damp
-    if not d0 > 0.0:
+    if not a00 > 0.0:
         return None
-    l00 = math.sqrt(d0)
-    l10, l20 = a01 / l00, a02 / l00
-    d1 = a11 * damp - l10 * l10
+    t1, t2 = a01 / a00, a02 / a00
+    a11, a12, a22 = a11 - t1 * a01, a12 - t1 * a02, a22 - t2 * a02
+    b1, b2 = b1 - t1 * b0, b2 - t2 * b0
+    if 1 not in free:  # xi's row and column become the identity's, its right-hand side 0
+        a11, a12, b1 = 1.0, 0.0, 0.0
+    damp = 1.0 + lam
+    d1 = a11 * damp
     if not d1 > 0.0:
         return None
-    l11 = math.sqrt(d1)
-    l21 = (a12 - l20 * l10) / l11
-    d2 = a22 * damp - l20 * l20 - l21 * l21
+    l21 = a12 / d1
+    d2 = a22 * damp - l21 * a12
     if not d2 > 0.0:
         return None
-    l22 = math.sqrt(d2)
-    z0 = b0 / l00
-    z1 = (b1 - l10 * z0) / l11
-    x2 = (b2 - l20 * z0 - l21 * z1) / l22 / l22
-    x1 = (z1 - l21 * x2) / l11
-    return (z0 - l10 * x1 - l20 * x2) / l00, x1, x2
-
-
-def _predicted_reduction(gram, step, lam):
-    """The SSE reduction 2 x^T J^T r - x^T J^T J x that the linearised model
-    predicts for the damped step x of :func:`_damped_step` (before it is
-    clamped). x solves (J^T J + lam diag J^T J) x = J^T r over the free
-    parameters and is 0 for a held one, so this equals
-    x^T J^T r + lam sum_i (J^T J)_ii x_i^2 (Moré 1978), the form used
-    here: its terms do not cancel."""
-    x0, x1, x2 = step
-    (a00, _, _, b0), (_, a11, _, b1), (_, _, a22, b2) = gram[:_N_PARAMS]
-    return x0 * (b0 + lam * a00 * x0) + x1 * (b1 + lam * a11 * x1) + x2 * (b2 + lam * a22 * x2)
+    x2 = (b2 - l21 * b1) / d2
+    x1 = (b1 - a12 * x2) / d1
+    return x1, x2, x1 * (b1 + lam * a11 * x1) + x2 * (b2 + lam * a22 * x2)
 
 
 def _clamp_params(params, delta_floor):
@@ -499,33 +495,38 @@ def _initial_guess(nu, y_db):
 def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None) -> FitResult:
     """Bounded least-squares fit of (S0, xi, delta) to an intensity-difference trace.
 
-    Damped least squares (Marquardt) with a fixed initial damping and
-    multiplicative schedule; fully deterministic for a given trace and
-    config. Residuals are taken in dB with uniform weights by default
-    (config.weight_space switches to linear power). Each candidate step
-    costs one model evaluation; the Jacobian is rebuilt only after a step
-    is accepted.
+    Variable projection: every model evaluation puts S0 at its closed-form
+    optimum for the (xi, delta) in hand (:func:`_model`), and damped least
+    squares (Marquardt) with a fixed initial damping and multiplicative
+    schedule steps (xi, delta) alone (:func:`_damped_step`); fully
+    deterministic for a given trace and config. The S0 entry of
+    config.initial_guess is not used. Residuals are taken in dB with
+    uniform weights by default (config.weight_space switches to linear
+    power). Each candidate step costs one model evaluation; the Jacobian
+    is rebuilt only after a step is accepted.
 
     The fit converges when an accepted step improves the SSE by at most
     convergence_tol times the SSE, or when the reduction the linearised
-    model predicts for the next damped step x, 2 x^T J^T r - x^T J^T J x
-    (Moré 1978), is at most the larger of convergence_tol times the SSE and
-    the SSE's rounding floor n (eps max|y_dB|)^2 (in linear power scaled by
-    (max y ln(10)/10)^2). That last candidate is evaluated once and kept
-    only if the SSE does not rise: below the floor a rise is rounding, and
-    retrying it at higher damping would only cost model passes. The
-    covariance is inv(J^T J) SSE/(n - 3) at the result, NaN where J^T J is
-    singular.
+    model predicts for the next damped step (Moré 1978) is at most the
+    larger of convergence_tol times the SSE and the SSE's rounding floor
+    n (eps max|y_dB|)^2 (in linear power scaled by (max y ln(10)/10)^2).
+    That last candidate is evaluated once and kept only if the SSE does
+    not rise: below the floor a rise is rounding, and retrying it at higher
+    damping would only cost model passes. The covariance is
+    inv(J^T J) SSE/(n - 3) from the full (S0, xi, delta) Jacobian at the
+    result, NaN where J^T J is singular.
 
     Bounds: xi in [1e-9, 1] and delta at least 1e-9 of the highest fitted
-    frequency; candidates are clamped into them. Where xi sits on a bound
-    and J^T r points out of it, a step that moved xi would only be clamped
-    back, so xi is held and the step is solved for the other parameters.
-    At 1e-9 delta is held too: the model then depends on it only through xi.
+    frequency; candidates are clamped into them. Where xi sits on 1 and
+    J^T r points out of it, a step that moved xi would only be clamped
+    back, so xi is held and only delta steps. Where xi sits on 1e-9 and
+    J^T r points below it, the fit ends there: the model then depends on
+    delta only through xi, and S0 is already at its optimum.
 
     Raises FitConvergenceError with the last iterate when max_iterations
     run out or when no damped step lowers the SSE, and ValidationError when
-    a power in the window is past the float range in linear power.
+    a power in the window, or the sum of their squares, is past the float
+    range in linear power.
     """
     config = config or FitConfig()
     work = trace
@@ -542,10 +543,8 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
         )
 
     delta_floor = 1e-9 * float(nu[-1])
-    if config.initial_guess is not None:
-        params = _clamp_params(map(float, config.initial_guess), delta_floor)
-    else:
-        params = _clamp_params(_initial_guess(nu, y_db), delta_floor)
+    guess = _initial_guess(nu, y_db) if config.initial_guess is None else config.initial_guess
+    params = _clamp_params(map(float, guess), delta_floor)
 
     nu2 = nu * nu
     linear = config.weight_space == "linear"
@@ -553,14 +552,17 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     if linear:
         with np.errstate(over="ignore"):
             y = 10.0 ** (y_db / 10.0)
-        if not np.isfinite(y).all():
+            power_sq = float(y @ y)
+        if not _TINY <= power_sq < math.inf:  # the fit's sums of squares would leave it
             raise ValidationError(f"power {y_db.max():g} dBm is past what linear power can "
                                   "hold in a float; fit it in dB")
     # the SSE's rounding floor: n residuals of the dB data's rounding eps |y_db|,
     # carried into linear power by dy/dy_db = y ln(10)/10
     slope = float(y.max()) / _LOG10_SCALE if linear else 1.0
     sse_floor = nu.size * (_EPS * float(np.abs(y_db).max()) * slope) ** 2
-    f, *factors = _model(nu2, params, linear)
+    y_sum = float(np.add.reduce(y))
+    f, s0, *factors = _model(nu2, params, y, y_sum, linear)
+    params = (s0, *params[1:])
     res = y - f
     sse = float(res @ res)
     rows = np.empty((_N_PARAMS + 1, nu.size))  # (J; r): one Gram product per accepted step
@@ -575,25 +577,26 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
             normal = rows @ rows.T
             gram = normal.tolist()
             grad_xi = gram[1][_N_PARAMS]
-            if params[1] >= 1.0 and grad_xi > 0.0:
-                free = (0, 2)
-            elif params[1] <= _XI_MIN and grad_xi < 0.0:
-                free = (0,)
-            else:
-                free = (0, 1, 2)
+            if params[1] <= _XI_MIN and grad_xi < 0.0:
+                # S0 is at its optimum and nothing else may move; J is at the result
+                accepted, converged = False, True
+                break
+            free = (2,) if params[1] >= 1.0 and grad_xi > 0.0 else (1, 2)
         step = _damped_step(gram, free, lam)
         accepted = final = False
         if step is not None:
-            final = (_predicted_reduction(gram, step, lam)
-                     <= max(config.convergence_tol * sse, sse_floor))
-            candidate = _clamp_params([p + dx for p, dx in zip(params, step)], delta_floor)
-            cand_f, *cand_factors = _model(nu2, candidate, linear)
+            dxi, ddelta, predicted = step
+            final = predicted <= max(config.convergence_tol * sse, sse_floor)
+            candidate = _clamp_params((params[0], params[1] + dxi, params[2] + ddelta),
+                                      delta_floor)
+            cand_f, cand_s0, *cand_factors = _model(nu2, candidate, y, y_sum, linear)
             cand_res = y - cand_f
             cand_sse = float(cand_res @ cand_res)
             accepted = cand_sse <= sse
         if accepted:
             improvement = sse - cand_sse
-            params, f, factors, res, sse = candidate, cand_f, cand_factors, cand_res, cand_sse
+            params = (cand_s0, *candidate[1:])
+            f, factors, res, sse = cand_f, cand_factors, cand_res, cand_sse
             lam = max(lam / _LAMBDA_FACTOR, 1e-15)
             converged = final or improvement <= config.convergence_tol * max(sse, 1e-30)
         elif final:
@@ -625,7 +628,8 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     except np.linalg.LinAlgError:
         cov = np.full((3, 3), np.nan)
     if linear:
-        db_res = y_db - _model(nu2, params, False)[0]
+        _, a, m = factors
+        db_res = y_db - (10.0 * np.log10(m / a) + params[0])
         db_sse = float(db_res @ db_res)
     else:
         db_sse = sse

@@ -3,9 +3,10 @@
 These deliberately avoid the package's combinatorial kernels: the splitter
 unitary is built here from ladder-operator matrices and an eigendecomposition
 exponential, distributions from exact dyadic binomials, Poisson tails
-from compensated summation, and spectrum fits from a grid search and from
+from compensated summation, spectrum fits from a grid search and from
 the damped least-squares loop as it stood before the bound step, started
-from the fit's guess as numpy calls compute it.
+from the fit's guess as numpy calls compute it, and the fit's damped step
+by projecting S0's Jacobian row out of the others.
 """
 
 import math
@@ -209,6 +210,28 @@ def residual_and_jacobian_at(nu, y_db, params, weight_space="db"):
         return y_db - f_db, jac
     f_lin = 10.0 ** (f_db / 10.0)
     return 10.0 ** (y_db / 10.0) - f_lin, jac * (f_lin / log10_scale)[:, None]
+
+
+def projected_damped_step(jac, res, free, lam):
+    """The damped (xi, delta) step with S0 at its closed form, by numpy
+    calls: the xi and delta columns of the (n, 3) Jacobian with the S0
+    column projected out, damped by lam times their diagonal and solved by
+    ``np.linalg.solve`` for the ``free`` columns (1, 2 or both; a held one
+    steps 0).
+
+    Returns ((dxi, ddelta), ||r||^2 - ||r - J_p x||^2), the SSE reduction
+    that the linearised model predicts.
+    """
+    s0_col = jac[:, :1]
+    projected = jac[:, 1:] - s0_col @ np.linalg.lstsq(s0_col, jac[:, 1:], rcond=None)[0]
+    cols = [p - 1 for p in free]
+    sub = projected[:, cols]
+    normal = sub.T @ sub
+    damped = normal + lam * np.diag(np.diagonal(normal))
+    step = np.zeros(2)
+    step[cols] = np.linalg.solve(damped, sub.T @ res)
+    after = res - projected @ step
+    return step, float(res @ res - after @ after)
 
 
 def fit_reference_lm(nu, y_db, weight_space="db", max_iterations=200, tol=1e-12):

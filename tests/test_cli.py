@@ -228,20 +228,32 @@ class TestFitCommand:
         assert sse <= grid_sse * (1.0 + 1e-9)
         assert fit["iterations"] <= 24
 
-    def test_start_guess_past_the_float_range_exits_5(self, tmp_path, capsys):
+    def test_start_guess_past_the_float_range_ends_on_the_lower_bound(self, tmp_path, capsys):
         # the first three points sit 4080 dB above the rest: their power
         # ratio overflows a float, which escaped the start guess as an
-        # OverflowError (exit 1); the guess now takes the ratio as inf
+        # OverflowError (exit 1); the guess takes the ratio as inf, and with
+        # S0 at its closed form the fit ends on xi = 1e-9 at the grid's least
+        # SSE, where damping S0 as a third parameter found no step (exit 5)
         nu = np.arange(1, 40) * 0.25e6
         powers = np.full(nu.size, -80.0)
         powers[:3] = 4000.0
         trace_path = tmp_path / "spike.csv"
         tracefit.save_trace(tracefit.SpectrumTrace(nu, powers), trace_path)
-        code = run("fit", "--trace", str(trace_path), "--f-min", "0",
-                   "--output-prefix", str(tmp_path / "o"))
-        assert code == cli.EXIT_CONVERGENCE
-        err = capsys.readouterr().err
-        assert "error: no damped step lowers the SSE" in err and "Traceback" not in err
+        with pytest.warns(UserWarning, match="pinned at its boundary"):
+            code = run("fit", "--trace", str(trace_path), "--f-min", "0",
+                       "--output-prefix", str(tmp_path / "o"))
+        assert code == 0
+        assert "error" not in capsys.readouterr().err
+        fit = json.loads((tmp_path / "o.fit.json").read_text())
+        assert fit["xi"] == 1e-9
+        keep = tracefit.usable_mask(tracefit.load_trace(trace_path),
+                                    tracefit.FitConfig.standard(fit_window_hz=(0.0, np.inf)))
+        sse = float(np.sum((powers[keep] - oracles.intensity_db(
+            nu[keep], fit["s0_dbm"], fit["xi"], fit["delta_hz"])) ** 2))
+        assert sse == pytest.approx(45_996_631.58, abs=0.01)
+        grid_sse, _ = oracles.bounded_grid_sse(nu[keep], powers[keep], 1e-9, 101,
+                                               np.geomspace(1e3, 1e10, 400))
+        assert sse <= grid_sse * (1.0 + 1e-9)
 
     def test_power_past_the_linear_range_exits_4(self, tmp_path, capsys):
         # in linear power 4000 dBm is 10^400 mW, past the float range: the
@@ -251,15 +263,31 @@ class TestFitCommand:
         powers[:3] = 4000.0
         trace_path = tmp_path / "spike.csv"
         tracefit.save_trace(tracefit.SpectrumTrace(nu, powers), trace_path)
-        for space, exit_code, message in (
-            ("linear", cli.EXIT_VALIDATION, "error: power 4000 dBm is past what linear power"),
-            ("db", cli.EXIT_CONVERGENCE, "error: no damped step lowers the SSE"),
-        ):
+        code = run("fit", "--trace", str(trace_path), "--f-min", "0", "--weight-space",
+                   "linear", "--output-prefix", str(tmp_path / "linear"))
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: power 4000 dBm is past what linear power" in err
+        assert "Traceback" not in err
+        with pytest.warns(UserWarning, match="pinned at its boundary"):
             code = run("fit", "--trace", str(trace_path), "--f-min", "0", "--weight-space",
-                       space, "--output-prefix", str(tmp_path / space))
-            assert code == exit_code, space
-            err = capsys.readouterr().err
-            assert message in err and "Traceback" not in err, space
+                       "db", "--output-prefix", str(tmp_path / "db"))
+        assert code == 0
+
+    def test_squared_power_past_the_float_range_exits_4(self, tmp_path):
+        # the fit's sums of squares overflowed from 1540 dBm on (10^308 mW^2
+        # per point): numpy warned and the fit exited 5 with "sse inf". Below
+        # about -1550 dBm they underflow to 0, and the fit exited 5 there too
+        trace_path = tmp_path / "hot.csv"
+        codes = {}
+        for level in [*range(1400, 3081, 20), -1500, -1600, -3300]:
+            assert run("synth", "--xi", "0.7", "--delta-hz", "3e6", "--s0-dbm", str(level),
+                       "--output", str(trace_path)) == 0
+            codes[level] = run("fit", "--trace", str(trace_path), "--weight-space", "linear",
+                               "--output-prefix", str(tmp_path / "o"))
+        assert set(codes.values()) <= {0, cli.EXIT_VALIDATION}
+        assert codes[1400] == codes[-1500] == 0
+        assert codes[3080] == codes[-1600] == codes[-3300] == cli.EXIT_VALIDATION
 
     def test_undetermined_xi_on_the_bound_reports_its_error(self, tmp_path):
         # delta sits below the 2 MHz window start, so the window sees only
