@@ -256,8 +256,8 @@ def cmd_fit(args, config) -> int:
 
 def cmd_uncertainty(args, config) -> int:
     u = np.array(args.u_grid) if args.u_grid else np.linspace(0.1, 5.0, 50)
-    if np.any(u <= 0.0):
-        raise ValidationError("normalized frequencies must be positive")
+    if not (np.isfinite(u) & (u > 0.0)).all():
+        raise ValidationError("normalized frequencies must be positive and finite")
     s_x = spectra.intensity_diff_spectrum(u, args.xi)
     s_p = spectra.phase_diff_spectrum(u, args.xi)
     columns = {"u": u, "s_intensity": s_x, "s_phase": s_p,

@@ -19,6 +19,7 @@ ultra-low-frequency regime is outside this model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,11 @@ def _check_xi(xi):
     numpy calls on one number.
     """
     if isinstance(xi, (float, int)):
-        if xi < 0.0 or xi > 1.0:
+        if not 0.0 <= xi <= 1.0:
             raise ValidationError(f"correlation coefficient xi must be in [0, 1], got {xi}")
         return float(xi)
     arr = np.asarray(xi, dtype=float)
-    if (arr < 0.0).any() or (arr > 1.0).any():
+    if not ((0.0 <= arr) & (arr <= 1.0)).all():
         raise ValidationError(f"correlation coefficient xi must be in [0, 1], got {xi}")
     return float(arr) if arr.ndim == 0 else arr
 
@@ -59,8 +60,11 @@ class OpoParams:
             raise ValidationError(f"transmissivity must be in (0, 1), got {self.transmissivity}")
         if not 0.0 <= self.loss < 1.0:
             raise ValidationError(f"loss must be in [0, 1), got {self.loss}")
-        if self.free_spectral_range_hz <= 0.0:
-            raise ValidationError("free spectral range must be positive")
+        if not 0.0 < self.free_spectral_range_hz < math.inf:
+            raise ValidationError("free spectral range must be positive and finite, "
+                                  f"got {self.free_spectral_range_hz}")
+        if not math.isfinite(self.s0_dbm):
+            raise ValidationError(f"shot-noise level s0_dbm must be finite, got {self.s0_dbm}")
 
     @property
     def xi(self) -> float:
@@ -78,8 +82,8 @@ class OpoParams:
         xi = _check_xi(xi)
         if xi == 0.0:
             raise ValidationError("xi = 0 does not define a cavity (T must be positive)")
-        if delta_hz <= 0.0:
-            raise ValidationError("delta must be positive")
+        if not 0.0 < delta_hz < math.inf:
+            raise ValidationError(f"delta must be positive and finite, got {delta_hz}")
         return cls(xi, 1.0 - xi, 2.0 * np.pi * delta_hz, s0_dbm)
 
 

@@ -12,13 +12,14 @@ phase-difference trace from the same three parameters with no extra freedom.
 Trace CSV format: UTF-8, optional ``#`` comment lines carrying
 ``# rbw_hz=...`` and ``# label=...`` metadata, a ``frequency_hz,power_dbm``
 header, then one sample per line with strictly increasing frequencies.
+A trace is split into lines once, by ``str.splitlines``. Its body is read
+by one ``np.loadtxt`` call; where that read fails its checks, the body is
+walked line by line, so every parse error names its line.
 """
 
 from __future__ import annotations
 
-import io
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -43,11 +44,6 @@ MODULATION_SPUR_BAND_HZ = (3.8e6, 4.0e6)
 DEFAULT_GRID_HZ = (0.5e6, 10.0e6, 30e3)
 
 _HEADER = "frequency_hz,power_dbm"
-#: Where ``np.loadtxt`` and the per-line loop part ways: ``str.splitlines``
-#: also breaks lines at these characters (and at a lone \r), and
-#: ``loadtxt`` skips \x1c-\x1f around a field, which ``float`` refuses.
-_LOOP_ONLY_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
-_NOT_NEWLINE = re.compile("[^\r\n]")
 _N_PARAMS = 3
 _XI_MIN = 1e-9
 _LAMBDA0 = 1e-3
@@ -209,8 +205,9 @@ def load_trace(source) -> SpectrumTrace:
 
     A ``Path`` is always a file. A ``str`` is CSV text when it contains a
     newline or starts with ``#`` or with the header, and a file name
-    otherwise. Malformed rows are rejected with their line number;
-    frequencies must be strictly increasing.
+    otherwise. The text is split into lines once (see :func:`_parse`).
+    Malformed rows are rejected with their line number; frequencies must be
+    strictly increasing.
     """
     if isinstance(source, str) and "\n" not in source:
         if not source.lstrip().lower().startswith(("#", _HEADER)):
@@ -224,90 +221,74 @@ def load_trace(source) -> SpectrumTrace:
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
     else:
         text = str(source)
-    return SpectrumTrace(*(_parse_fast(text) or _parse_lines(text)))
+    return SpectrumTrace(*_parse(text))
 
 
-def _metadata(line: str, rbw_hz: float, label: str) -> tuple[float, str]:
-    """``(rbw_hz, label)`` after one ``#`` line; ValueError on a bad rbw_hz.
+def _metadata(line: str, lineno: int, rbw_hz: float, label: str) -> tuple[float, str]:
+    """``(rbw_hz, label)`` after the ``#`` line ``line``.
 
     The label is the rest of the line after ``label=``, trailing whitespace
     included, so every label a :class:`SpectrumTrace` holds reads back as written.
     """
-    meta = line.lstrip().lstrip("#").lstrip().rstrip("\r\n")
+    meta = line.lstrip().lstrip("#").lstrip()
     if meta.startswith("rbw_hz="):
-        return float(meta.split("=", 1)[1]), label
+        try:
+            return float(meta.split("=", 1)[1]), label
+        except ValueError:
+            raise TraceParseError(f"bad rbw_hz value {meta.rstrip()!r}", lineno) from None
     if meta.startswith("label="):
         return rbw_hz, meta.split("=", 1)[1]
     return rbw_hz, label
 
 
-def _is_header(stripped: str) -> bool:
-    return [c.strip().lower() for c in stripped.split(",")] == _HEADER.split(",")
+def _parse(text: str):
+    """``(freqs, powers, rbw_hz, label)`` of a trace.
 
-
-def _parse_fast(text: str):
-    """``_parse_lines(text)`` of a well-formed trace in one ``np.loadtxt``
-    call, or None on any failure or doubt; it never raises TraceParseError.
-
-    The ``#`` lines before the header are read one by one, the body in C.
-    Text where ``np.loadtxt`` and the loop could split lines or fields apart
-    goes to the loop, as does a body with ``#`` lines (``loadtxt`` rejects
-    them) or none but blank lines.
+    ``text`` is split into lines once. The ``#`` lines and the header are
+    walked one by one; the body goes to one ``np.loadtxt`` call, and is
+    walked line by line by :func:`_walk` when that call raises, when its
+    arrays are not two finite columns with increasing frequencies, when the
+    body is blank (``loadtxt`` warns) or when the text holds a ``\\x1f``
+    (which ``loadtxt`` skips around a field and ``float`` refuses).
     """
-    if any(c in text for c in _LOOP_ONLY_CHARS):
-        return None
-    if "\r" in text and text.count("\r") != text.count("\r\n"):
-        return None
-    stream = io.StringIO(text)
+    lines = text.splitlines()
     rbw_hz, label = 0.0, ""
-    for line in iter(stream.readline, ""):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if not stripped.startswith("#"):
+            if [c.strip().lower() for c in stripped.split(",")] != _HEADER.split(","):
+                raise TraceParseError(f"expected header {_HEADER!r}, got {stripped!r}", lineno)
             break
-        try:
-            rbw_hz, label = _metadata(line, rbw_hz, label)
-        except ValueError:
-            return None
+        rbw_hz, label = _metadata(line, lineno, rbw_hz, label)
     else:
-        return None
-    # np.loadtxt warns on a body of blank lines
-    if not _is_header(stripped) or not _NOT_NEWLINE.search(text, stream.tell()):
-        return None
-    try:
-        data = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if (len(data) == 0 or data.shape[1] != 2 or not np.isfinite(data).all()
-            or not (np.diff(data[:, 0]) > 0.0).all()):
-        return None
-    freqs, powers = data.T.copy()
-    return freqs, powers, rbw_hz, label
+        raise TraceParseError(f"missing {_HEADER!r} header", 1)
+    body = lines[lineno:]
+    if "\x1f" not in text and any(map(str.strip, body)):
+        try:
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if (data.shape[1] == 2 and np.isfinite(data).all()
+                    and (np.diff(data[:, 0]) > 0.0).all()):
+                freqs, powers = data.T.copy()
+                return freqs, powers, rbw_hz, label
+    return _walk(body, lineno, rbw_hz, label)
 
 
-def _parse_lines(text: str):
-    """``(freqs, powers, rbw_hz, label)`` from a line-by-line walk of ``text``:
-    the only source of TraceParseError and its line numbers."""
-    rbw_hz, label = 0.0, ""
+def _walk(body: list[str], offset: int, rbw_hz: float, label: str):
+    """``_parse``'s result from a line-by-line walk of the body lines after
+    line ``offset``: the only source of TraceParseError past the header."""
     freqs: list[float] = []
     powers: list[float] = []
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(body, start=offset + 1):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
-            try:
-                rbw_hz, label = _metadata(line, rbw_hz, label)
-            except ValueError:
-                meta = stripped.lstrip("#").strip()
-                raise TraceParseError(f"bad rbw_hz value {meta!r}", lineno) from None
-            continue
-        if not header_seen:
-            if not _is_header(stripped):
-                raise TraceParseError(f"expected header {_HEADER!r}, got {stripped!r}", lineno)
-            header_seen = True
+            rbw_hz, label = _metadata(line, lineno, rbw_hz, label)
             continue
         parts = stripped.split(",")
         if len(parts) != 2:
@@ -324,8 +305,6 @@ def _parse_lines(text: str):
             )
         freqs.append(f)
         powers.append(p)
-    if not header_seen:
-        raise TraceParseError(f"missing {_HEADER!r} header", 1)
     if not freqs:
         raise TraceParseError("no data rows", 1)
     return np.array(freqs), np.array(powers), rbw_hz, label
@@ -666,7 +645,8 @@ def report_squeezing(
 
     The detection-corrected value subtracts the floor (linear power, level
     taken as the mean floor power over the trace span) from the squeezed
-    level while leaving the shot-noise reference untouched.
+    level while leaving the shot-noise reference untouched. Below complete
+    correlation, a floor with no sample in the trace span is refused.
     """
     if fit.xi >= 1.0 - 1e-12:
         return SqueezingReport(
@@ -683,8 +663,9 @@ def report_squeezing(
     if floor is not None:
         lo, hi = trace.span_hz()
         sel = (floor.frequencies_hz >= lo) & (floor.frequencies_hz <= hi)
-        floor_mw = floor.powers_mw()[sel] if sel.any() else floor.powers_mw()
-        floor_dbm = 10.0 * np.log10(float(np.mean(floor_mw)))
+        if not sel.any():
+            raise ValidationError(f"noise floor has no sample in the trace span ({lo:g}, {hi:g}) Hz")
+        floor_dbm = 10.0 * np.log10(float(np.mean(floor.powers_mw()[sel])))
         floor_rel = 10.0 ** ((floor_dbm - fit.s0_dbm) / 10.0)
         net = rel_dc - floor_rel
         if net <= 0.0:
@@ -709,8 +690,9 @@ def report_squeezing(
 
 def grid_hz(start_hz: float, stop_hz: float, step_hz: float) -> np.ndarray:
     """Inclusive arithmetic grid; the stop point is kept when it lands on it."""
-    if step_hz <= 0.0 or stop_hz <= start_hz:
-        raise ValidationError("grid requires stop > start and a positive step")
+    if not (-math.inf < start_hz < stop_hz < math.inf and 0.0 < step_hz < math.inf):
+        raise ValidationError("grid requires finite start < stop and a finite positive step, "
+                              f"got {start_hz}, {stop_hz}, {step_hz}")
     count = int(np.floor((stop_hz - start_hz) / step_hz + 1e-9)) + 1
     return start_hz + step_hz * np.arange(count)
 

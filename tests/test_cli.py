@@ -4,7 +4,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,19 @@ class TestFitCommand:
         )
         assert code == 0
         assert "squeezing_corrected_db=" in capsys.readouterr().out
+
+    def test_floor_outside_the_trace_span_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        params = OpoParams.from_correlation(0.72, 3e6, -80.0)
+        trace = tracefit.synth_trace(params, "intensity", (1e6, 10e6, 30e3), 0.1)
+        floor = tracefit.synth_trace(params, "flat", (20e6, 30e6, 30e3))
+        tracefit.save_trace(trace, tmp_path / "trace.csv")
+        tracefit.save_trace(floor, tmp_path / "floor.csv")
+        code = run("fit", "--trace", str(tmp_path / "trace.csv"),
+                   "--floor", str(tmp_path / "floor.csv"),
+                   "--output-prefix", str(tmp_path / "out" / "run"))
+        assert code == cli.EXIT_VALIDATION
+        assert "no sample in the trace span" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_trace_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -353,6 +368,69 @@ class TestFitCommand:
                                              fit["xi"], fit["delta_hz"])
                 assert np.ptp(curve) < float(noise_db)
         assert 0 in codes
+
+
+_GRID = ("--f-start", "1e6", "--f-stop", "2e6", "--f-step", "1e5")
+_BY_XI = ("--xi", "0.5", "--delta-hz", "3e6", "--s0-dbm", "-80", *_GRID)
+_BY_CAVITY = ("--t", "0.1", "--a", "0.01", "--d", "1e8", "--s0-dbm", "-80", *_GRID)
+_MODEL_FLAGS = ("--xi", "--delta-hz", "--s0-dbm", "--f-start", "--f-stop", "--f-step")
+#: Every float flag of spectra, synth, uncertainty and fit, last, as ``--flag={}``.
+FLOAT_FLAG_RUNS = [
+    *(("spectra", *_BY_XI, flag + "={}") for flag in _MODEL_FLAGS),
+    *(("synth", *_BY_XI, flag + "={}") for flag in _MODEL_FLAGS + ("--noise-db", "--rbw-hz")),
+    *((command, *_BY_CAVITY, flag + "={}")
+      for command in ("spectra", "synth") for flag in ("--t", "--a", "--d")),
+    ("uncertainty", "--u-grid=0.5,1", "--xi={}"),
+    ("uncertainty", "--xi=0.5", "--u-grid=1,{}"),
+    ("uncertainty", "--xi=0.5", "--u-grid={},1"),
+    ("fit", "--phase-grid={},2e6,1e5"),
+    ("fit", "--phase-grid=1e6,{},1e5"),
+    ("fit", "--phase-grid=1e6,2e6,{}"),
+    ("fit", "--f-min={}"),
+    ("fit", "--f-max={}"),
+    ("fit", "--exclude={}:5e6"),
+    ("fit", "--exclude=4e6:{}"),
+]
+#: (command, last argument) of runs that must be refused with exit 4.
+REFUSED = {
+    ("spectra", "--f-step=nan"), ("spectra", "--f-stop=inf"), ("spectra", "--f-step=inf"),
+    ("uncertainty", "--xi=nan"), ("uncertainty", "--u-grid=1,inf"),
+    ("uncertainty", "--u-grid=nan,1"), ("spectra", "--s0-dbm=nan"), ("spectra", "--s0-dbm=inf"),
+    ("spectra", "--d=nan"), ("spectra", "--delta-hz=nan"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:fitted xi pinned at its boundary")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", FLOAT_FLAG_RUNS,
+                         ids=lambda argv: f"{argv[0]} {argv[-1].format('x')}")
+def test_non_finite_float_flag_maps_to_an_exit_code(argv, value, tmp_path, capsys):
+    """A NaN or infinite float flag ends in a documented exit code with no
+    traceback, and a run that exits 0 writes no NaN or infinite cell
+    (``#`` metadata lines are not cells)."""
+    argv = [arg.format(value) for arg in argv]
+    outputs = []
+    if argv[0] == "fit":
+        trace = tracefit.synth_trace(OpoParams.from_correlation(0.72, 3e6, -80.0), "intensity",
+                                     tracefit.DEFAULT_GRID_HZ, 0.1, seed=3)
+        tracefit.save_trace(trace, tmp_path / "trace.csv")
+        prefix = tmp_path / "run"
+        argv[1:1] = ["--trace", str(tmp_path / "trace.csv"), "--output-prefix", str(prefix)]
+        outputs = [Path(f"{prefix}{suffix}") for suffix in
+                   (".fit.txt", ".fit.json", ".phase_prediction.csv")]
+    code = run(*argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in captured.err
+    if (argv[0], argv[-1]) in REFUSED:
+        assert code == cli.EXIT_VALIDATION
+    if argv[-1] == "--f-max=inf":
+        assert code == 0  # an open upper edge is a legitimate window
+    if code == 0:
+        text = captured.out + "".join(path.read_text() for path in outputs)
+        cells = [cell.strip(' "').lower() for line in text.splitlines()
+                 if not line.startswith("#") for cell in re.split(r"[,=:\[\]{}]", line)]
+        assert not {"nan", "inf", "-inf", "infinity", "-infinity"} & set(cells)
 
 
 class TestUncertainty:

@@ -1,5 +1,7 @@
 """Noise-spectrum model tests: anchor values, identities, monotonicity, units."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,11 @@ class TestIntensitySpectrum:
     def test_invalid_xi_rejected(self):
         with pytest.raises(ValidationError):
             spectra.intensity_diff_spectrum(1.0, 1.2)
+
+    @pytest.mark.parametrize("xi", [math.nan, np.float64(math.nan), np.array([0.5, math.nan])])
+    def test_nan_xi_rejected(self, xi):
+        with pytest.raises(ValidationError, match="xi must be in"):
+            spectra.intensity_diff_spectrum(1.0, xi)
 
 
 class TestPhaseSpectrum:
@@ -136,12 +143,21 @@ class TestOpoParams:
         assert spectra.OpoParams(0.01, 0.0, 1e9, -79.0).xi == 1.0
         assert spectra.OpoParams(0.01, 0.001, 1e9, -79.0).xi < 1.0
 
+    @pytest.mark.parametrize("delta_hz", [math.nan, math.inf, 0.0])
+    def test_from_correlation_needs_a_finite_positive_delta(self, delta_hz):
+        with pytest.raises(ValidationError, match="delta must be positive and finite"):
+            spectra.OpoParams.from_correlation(0.5, delta_hz, -79.0)
+
     def test_from_correlation_roundtrip(self):
         params = spectra.OpoParams.from_correlation(0.72, 2.98e6, -79.0)
         assert params.xi == pytest.approx(0.72, rel=1e-14)
         assert params.delta_hz == pytest.approx(2.98e6, rel=1e-14)
 
-    @pytest.mark.parametrize("bad", [dict(transmissivity=0.0), dict(loss=1.0), dict(free_spectral_range_hz=-1.0)])
+    @pytest.mark.parametrize("bad", [
+        dict(transmissivity=0.0), dict(loss=1.0), dict(free_spectral_range_hz=-1.0),
+        dict(free_spectral_range_hz=math.nan), dict(free_spectral_range_hz=math.inf),
+        dict(s0_dbm=math.nan), dict(s0_dbm=math.inf), dict(s0_dbm=-math.inf),
+    ])
     def test_invalid_cavity_rejected(self, bad):
         kwargs = dict(transmissivity=0.02, loss=0.005, free_spectral_range_hz=1e9, s0_dbm=-79.0)
         kwargs.update(bad)

@@ -1,9 +1,11 @@
 """Trace ingestion, floor subtraction, fitting, and prediction tests."""
 
+import contextlib
 import math
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +97,14 @@ class TestLoadTrace:
         nu = tracefit.grid_hz(*COARSE_GRID)
         assert nu.size == 317  # (10 - 0.5) MHz at 30 kHz spacing, start inclusive
 
+    @pytest.mark.parametrize("grid", [
+        (math.nan, 2e6, 1e5), (-math.inf, 2e6, 1e5), (1e6, math.nan, 1e5), (1e6, math.inf, 1e5),
+        (1e6, 2e6, math.nan), (1e6, 2e6, math.inf), (2e6, 1e6, 1e5), (1e6, 2e6, 0.0),
+    ])
+    def test_grid_needs_finite_ordered_ends_and_a_finite_positive_step(self, grid):
+        with pytest.raises(ValidationError, match="grid requires"):
+            tracefit.grid_hz(*grid)
+
     def test_csv_roundtrip(self):
         trace = tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, 0.3, seed=5)
         back = tracefit.load_trace(tracefit.trace_to_csv(trace))
@@ -125,15 +135,25 @@ def loaded(text):
     return trace.frequencies_hz, trace.powers_dbm, trace.rbw_hz, trace.label
 
 
+def walked(text):
+    """``loaded(text)`` with the per-line walk forced for the whole body."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        return loaded(text)
+
+
+def walks_the_body(text):
+    """Whether ``load_trace`` walks the body of ``text`` line by line rather
+    than take the arrays of its one ``np.loadtxt`` call."""
+    with mock.patch.object(tracefit, "_walk", wraps=tracefit._walk) as walk:
+        with contextlib.suppress(TraceParseError):
+            tracefit.load_trace(text)
+    return walk.called
+
+
 def assert_parsers_agree(text):
-    """The vectorised parse, when it answers, and ``load_trace`` give what
-    the per-line loop gives: the same arrays and metadata, or its error."""
-    reference = outcome(tracefit._parse_lines, text)
-    fast = tracefit._parse_fast(text)
-    if fast is not None:
-        assert outcome(lambda _: fast, text) == reference
-    assert outcome(loaded, text) == reference
-    return fast is not None
+    """``load_trace`` gives what the per-line walk gives: the same arrays
+    and metadata, or its error text and line number."""
+    assert outcome(loaded, text) == outcome(walked, text)
 
 
 #: Characters that ``str.splitlines`` treats as line breaks beyond \n and \r.
@@ -202,7 +222,7 @@ class TestParseParity:
     @pytest.mark.parametrize("char", list(OTHER_LINE_BREAKS + "\x1f"))
     def test_characters_loadtxt_reads_otherwise_go_to_the_loop(self, char):
         text = f"frequency_hz,power_dbm\n1e6,{char}-80\n2e6,-81\n"
-        assert tracefit._parse_fast(text) is None
+        assert walks_the_body(text)
         assert_parsers_agree(text)
 
     def test_form_feed_inside_a_row_names_its_line(self):
@@ -211,15 +231,15 @@ class TestParseParity:
 
     def test_metadata_after_the_header(self):
         text = "frequency_hz,power_dbm\n1e6,-80\n# rbw_hz=1000\n2e6,-81\n"
-        assert tracefit._parse_fast(text) is None
+        assert walks_the_body(text)
         assert tracefit.load_trace(text).rbw_hz == 1000.0
         assert_parsers_agree(text)
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"] + list(OTHER_LINE_BREAKS))
     def test_wellformed_text_takes_the_vectorised_parse(self, end):
         text = GOOD_CSV.replace("\n", end)
-        assert tracefit._parse_fast(text) is not None
-        assert assert_parsers_agree(text)
+        assert not walks_the_body(text)
+        assert_parsers_agree(text)
 
     @pytest.mark.parametrize("text", ["frequency_hz,power_dbm\n", "frequency_hz,power_dbm\n\r\n\n"])
     def test_header_only_warns_nothing(self, text):
@@ -239,7 +259,7 @@ class TestParseParity:
         freqs = np.unique([float(f"{f:.10g}") for f in freqs])
         powers = np.array([float(f"{p:.12g}") for p in powers[: freqs.size]])
         text = tracefit.trace_to_csv(tracefit.SpectrumTrace(freqs, powers, rbw_hz, label))
-        assert tracefit._parse_fast(text) is not None
+        assert not walks_the_body(text)
         back = tracefit.load_trace(text)
         assert back.frequencies_hz.tobytes() == freqs.tobytes()
         assert back.powers_dbm.tobytes() == powers.tobytes()
@@ -781,6 +801,11 @@ class TestSqueezingReport:
         expected = 10.0 * np.log10(0.28 - floor_rel)
         assert report.corrected_db == pytest.approx(expected, abs=1e-9)
         assert report.corrected_db - report.raw_db == pytest.approx(-0.461, abs=2e-3)
+
+    def test_floor_without_a_sample_in_the_trace_span_rejected(self):
+        floor = flat_trace(-94.5, start=20e6, stop=30e6)
+        with pytest.raises(ValidationError, match="no sample in the trace span"):
+            tracefit.report_squeezing(flat_trace(-84.5, 1e6, 10e6), self.result(0.72), floor)
 
     def test_correction_reaching_minus_six_db(self):
         # raw -5.5 dB with the floor 9.635 dB below the squeezed level -> -6.0 dB
