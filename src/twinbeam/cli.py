@@ -65,15 +65,13 @@ def _bands(text: str) -> tuple[tuple[float, float], ...]:
 
 _FIT = tracefit.FitConfig.standard()
 
+#: Largest ``limits --n-max``.
+MAX_N = 10
+
 #: key -> (default, parser of the file's text value)
 DEFAULTS = {
-    # default per-mode cutoff of `hom`; upper bound of `limits --n-max`
-    "fock.cutoff": (8, int),
-    "fock.max_n": (10, int),
     "trace_fit.fit_window_hz": (_FIT.fit_window_hz, _numbers(",", 2, "LOW,HIGH in Hz")),
     "trace_fit.exclusions_hz": (_FIT.exclusions_hz, _bands),
-    "trace_fit.max_iterations": (_FIT.max_iterations, int),
-    "trace_fit.convergence_tol": (_FIT.convergence_tol, float),
     "trace_fit.weight_space": (_FIT.weight_space, str),
     "cli.grid_hz": (tracefit.DEFAULT_GRID_HZ, _grid),
 }
@@ -115,7 +113,8 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def cmd_hom(args, config) -> int:
-    cutoff = args.cutoff or max(config["fock.cutoff"], args.n_a + args.n_b, 1)
+    # the pair never holds more than n_a + n_b photons, so no larger cutoff changes the answer
+    cutoff = max(args.n_a + args.n_b, 1)
     freq_b = 1 if args.distinguishable else 0
     modes = (
         ModeLabel(Polarization.H, 0, Port.A),
@@ -149,9 +148,8 @@ def cmd_hom(args, config) -> int:
 
 
 def cmd_limits(args, config) -> int:
-    max_n = config["fock.max_n"]
-    if not 0 <= args.n_max <= max_n:
-        raise ValidationError(f"n_max {args.n_max} outside the documented range 0..{max_n}")
+    if not 0 <= args.n_max <= MAX_N:
+        raise ValidationError(f"n_max {args.n_max} outside the documented range 0..{MAX_N}")
     n = np.arange(args.n_max + 1)
     classical, twin = [0.0], [0.0]
     for k in range(1, args.n_max + 1):
@@ -205,8 +203,6 @@ def _fit_config_from(args, config) -> tracefit.FitConfig:
                        f_max if args.f_max is None else args.f_max),
         exclusions_hz=tuple(args.exclude) if args.exclude else config["trace_fit.exclusions_hz"],
         initial_guess=args.guess,
-        max_iterations=config["trace_fit.max_iterations"],
-        convergence_tol=config["trace_fit.convergence_tol"],
         weight_space=args.weight_space or config["trace_fit.weight_space"],
     )
 
@@ -311,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="give the second beam a different frequency tag")
     p_hom.add_argument("--theta", type=float, default=np.pi / 8,
                        help="wave-plate angle in radians (pi/8 acts as a balanced splitter)")
-    p_hom.add_argument("--cutoff", type=int, default=0, help="per-mode Fock cutoff")
     p_hom.add_argument("--format", choices=("csv", "structured"), default="structured")
     p_hom.add_argument("--output")
     p_hom.set_defaults(func=cmd_hom)

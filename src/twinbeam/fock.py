@@ -151,9 +151,9 @@ def make_fock(occupations, cutoff: int, modes=None) -> MultimodeState:
     modes = _mode_labels(modes, len(occupations))
     if len(modes) != len(occupations):
         raise ValidationError("one occupation per mode required")
+    if min(occupations, default=0) < 0:  # first: a caller may size the cutoff from their sum
+        raise ValidationError(f"negative occupation {min(occupations)}")
     for n in occupations:
-        if n < 0:
-            raise ValidationError(f"negative occupation {n}")
         if n > cutoff:
             raise CapacityError(f"occupation {n} exceeds cutoff {cutoff}")
     dim = cutoff + 1

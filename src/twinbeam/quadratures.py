@@ -4,17 +4,17 @@ Conventions: X = (a + a+)/sqrt(2), P = i(a+ - a)/sqrt(2), so each vacuum
 quadrature has variance 1/2 and the difference quadratures obey
 dX_minus * dP_minus >= 1.
 
-For balanced bright beams of mean field x, the number difference after a
+For bright beams of mean fields a and b, the number difference after a
 wave plate at angle theta and a polarizing splitter has linearized standard
 deviation
 
-    dN_minus(theta) = KAPPA * |x| * sqrt(v' C v),
+    dN_minus(theta) = KAPPA * sqrt(v' C v),
 
-with v the unit combination of the difference quadratures selected by the
-angle (theta = 0 reads the amplitude difference, theta = pi/8 the phase
+with v = cos(4 theta) w_n + sin(4 theta) w_j built from the mean fields
+(theta = 0 reads the amplitude difference, theta = pi/8 the phase
 difference). The prefactor KAPPA = sqrt(2) is fixed by demanding exact
-agreement with the Fock engine on coherent inputs, where the linearization
-is exact (see cross_check_against_fock).
+agreement with the Fock engine on coherent inputs, balanced or not, where
+the linearization is exact (see cross_check_against_fock).
 """
 
 from __future__ import annotations
@@ -109,22 +109,14 @@ def _direction_vectors(mean_a: complex, mean_b: complex) -> tuple[np.ndarray, np
     return w_n, w_j
 
 
-def number_difference_std(
-    state: QuadratureState, theta: float, allow_unequal_means: bool = False
-) -> float:
+def number_difference_std(state: QuadratureState, theta: float) -> float:
     """Linearized std of the output number difference after a plate at theta.
 
     theta = 0 leaves the beams unmixed (reads the amplitude difference),
     theta = pi/8 acts as a balanced splitter (reads the phase difference),
-    and a general angle mixes them as cos(4 theta), sin(4 theta).
+    and a general angle mixes them as cos(4 theta), sin(4 theta). The mean
+    fields need not be balanced.
     """
-    mag_a, mag_b = abs(state.mean_a), abs(state.mean_b)
-    if not allow_unequal_means:
-        if abs(mag_a - mag_b) > 1e-9 * max(mag_a, mag_b, 1.0):
-            raise ValidationError(
-                "mean fields are unbalanced; pass allow_unequal_means=True "
-                "to use the generalized formula"
-            )
     w_n, w_j = _direction_vectors(state.mean_a, state.mean_b)
     v = np.cos(4.0 * theta) * w_n + np.sin(4.0 * theta) * w_j
     return float(KAPPA * np.sqrt(max(v @ state.cov @ v, 0.0)))

@@ -43,6 +43,14 @@ MODULATION_SPUR_BAND_HZ = (3.8e6, 4.0e6)
 #: Default synthetic and CLI frequency grid (start, stop, step in Hz): 317 points.
 DEFAULT_GRID_HZ = (0.5e6, 10.0e6, 30e3)
 
+#: Most points a grid may hold: about 100 times a 95 001-point measured trace.
+MAX_GRID_POINTS = 10_000_000
+
+#: Damped least-squares iterations before a fit gives up (FitConvergenceError).
+MAX_ITERATIONS = 200
+#: Relative SSE reduction, achieved by a step or predicted for the next, that ends a fit.
+CONVERGENCE_TOL = 1e-12
+
 _HEADER = "frequency_hz,power_dbm"
 _N_PARAMS = 3
 _XI_MIN = 1e-9
@@ -70,6 +78,8 @@ class SpectrumTrace:
             raise ValidationError("frequency and power arrays must be 1-d and equal length")
         if not (np.isfinite(freqs).all() and np.isfinite(powers).all()):
             raise ValidationError("frequencies and powers must be finite")
+        if not 0.0 <= self.rbw_hz < math.inf:
+            raise ValidationError(f"rbw_hz must be finite and non-negative, got {self.rbw_hz}")
         if self.label and self.label.splitlines() != [self.label]:
             raise ValidationError(f"label must be one line, got {self.label!r}")
         try:
@@ -98,28 +108,25 @@ class SpectrumTrace:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Windowing, exclusions, and iteration controls for the spectrum fit."""
+    """Windowing, exclusions, floor, start and weight space of the spectrum fit."""
 
     fit_window_hz: tuple[float, float] | None = None
     exclusions_hz: tuple[tuple[float, float], ...] = ()
     noise_floor: SpectrumTrace | None = None
     initial_guess: tuple[float, float, float] | None = None  # (s0_dbm, xi, delta_hz); s0 unused
-    max_iterations: int = 200
-    convergence_tol: float = 1e-12
     weight_space: str = "db"  # "db" or "linear"
 
     def __post_init__(self):
         if self.weight_space not in ("db", "linear"):
             raise ValidationError(f"weight_space must be 'db' or 'linear', got {self.weight_space!r}")
-        if not (self.max_iterations >= 1 and 0.0 <= self.convergence_tol < math.inf):
-            raise ValidationError("need max_iterations >= 1 and a finite convergence_tol >= 0, got "
-                                  f"{self.max_iterations} and {self.convergence_tol}")
         for lo, hi in self.exclusions_hz:
             if not lo < hi:
                 raise ValidationError(f"exclusion band ({lo}, {hi}) is empty")
         if self.fit_window_hz is not None and not self.fit_window_hz[0] < self.fit_window_hz[1]:
             raise ValidationError(f"fit window {self.fit_window_hz} is empty")
         if self.initial_guess is not None:
+            if not all(map(math.isfinite, self.initial_guess)):
+                raise ValidationError(f"initial guess must be finite, got {self.initial_guess}")
             xi = self.initial_guess[1]
             if not 0.0 < xi <= 1.0:
                 raise ValidationError(f"xi guess must be in (0, 1], got {xi}")
@@ -233,9 +240,12 @@ def _metadata(line: str, lineno: int, rbw_hz: float, label: str) -> tuple[float,
     meta = line.lstrip().lstrip("#").lstrip()
     if meta.startswith("rbw_hz="):
         try:
-            return float(meta.split("=", 1)[1]), label
+            value = float(meta.split("=", 1)[1])
+            if 0.0 <= value < math.inf:  # what SpectrumTrace accepts
+                return value, label
         except ValueError:
-            raise TraceParseError(f"bad rbw_hz value {meta.rstrip()!r}", lineno) from None
+            pass
+        raise TraceParseError(f"bad rbw_hz value {meta.rstrip()!r}", lineno)
     if meta.startswith("label="):
         return rbw_hz, meta.split("=", 1)[1]
     return rbw_hz, label
@@ -485,9 +495,9 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     is rebuilt only after a step is accepted.
 
     The fit converges when an accepted step improves the SSE by at most
-    convergence_tol times the SSE, or when the reduction the linearised
-    model predicts for the next damped step (Moré 1978) is at most the
-    larger of convergence_tol times the SSE and the SSE's rounding floor
+    CONVERGENCE_TOL (1e-12) times the SSE, or when the reduction the
+    linearised model predicts for the next damped step (Moré 1978) is at
+    most the larger of CONVERGENCE_TOL times the SSE and the SSE's rounding floor
     n (eps max|y_dB|)^2 (in linear power scaled by (max y ln(10)/10)^2).
     That last candidate is evaluated once and kept only if the SSE does
     not rise: below the floor a rise is rounding, and retrying it at higher
@@ -502,8 +512,8 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     J^T r points below it, the fit ends there: the model then depends on
     delta only through xi, and S0 is already at its optimum.
 
-    Raises FitConvergenceError with the last iterate when max_iterations
-    run out or when no damped step lowers the SSE, and ValidationError when
+    Raises FitConvergenceError with the last iterate when MAX_ITERATIONS
+    (200) run out or when no damped step lowers the SSE, and ValidationError when
     a power in the window, or the sum of their squares, is past the float
     range in linear power.
     """
@@ -549,7 +559,7 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     accepted = True  # the normal equations are rebuilt only where params moved
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         if accepted:
             _jacobian(params, f, *factors, linear, rows[:_N_PARAMS])
             rows[_N_PARAMS] = res
@@ -565,7 +575,7 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
         accepted = final = False
         if step is not None:
             dxi, ddelta, predicted = step
-            final = predicted <= max(config.convergence_tol * sse, sse_floor)
+            final = predicted <= max(CONVERGENCE_TOL * sse, sse_floor)
             candidate = _clamp_params((params[0], params[1] + dxi, params[2] + ddelta),
                                       delta_floor)
             cand_f, cand_s0, *cand_factors = _model(nu2, candidate, y, y_sum, linear)
@@ -577,7 +587,7 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
             params = (cand_s0, *candidate[1:])
             f, factors, res, sse = cand_f, cand_factors, cand_res, cand_sse
             lam = max(lam / _LAMBDA_FACTOR, 1e-15)
-            converged = final or improvement <= config.convergence_tol * max(sse, 1e-30)
+            converged = final or improvement <= CONVERGENCE_TOL * max(sse, 1e-30)
         elif final:
             converged = True
         else:
@@ -693,8 +703,10 @@ def grid_hz(start_hz: float, stop_hz: float, step_hz: float) -> np.ndarray:
     if not (-math.inf < start_hz < stop_hz < math.inf and 0.0 < step_hz < math.inf):
         raise ValidationError("grid requires finite start < stop and a finite positive step, "
                               f"got {start_hz}, {stop_hz}, {step_hz}")
-    count = int(np.floor((stop_hz - start_hz) / step_hz + 1e-9)) + 1
-    return start_hz + step_hz * np.arange(count)
+    intervals = (stop_hz - start_hz) / step_hz + 1e-9  # sized before any allocation
+    if not intervals < MAX_GRID_POINTS:  # also where it is inf
+        raise ValidationError(f"grid of {intervals + 1:.3g} points exceeds {MAX_GRID_POINTS}")
+    return start_hz + step_hz * np.arange(int(np.floor(intervals)) + 1)
 
 
 def synth_trace(

@@ -53,8 +53,19 @@ class TestHom:
         }
         assert report["truncation_leakage"] == 0.0
 
-    def test_cutoff_overflow_surfaces_as_validation(self, capsys):
-        assert run("hom", "--n-a", "3", "--n-b", "2", "--cutoff", "3") == cli.EXIT_VALIDATION
+    def test_cutoff_is_the_pair_total(self, capsys):
+        # no cutoff to set: the pair never holds more than n_a + n_b photons
+        assert run("hom", "--n-a", "6", "--n-b", "5") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["truncation_leakage"] == 0.0
+        assert sum(report["distribution"].values()) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(SystemExit) as exit_info:
+            run("hom", "--cutoff", "3")
+        assert exit_info.value.code == 2
+
+    def test_negative_photon_number_is_named(self, capsys):
+        assert run("hom", "--n-a", "3", "--n-b", "-1") == cli.EXIT_VALIDATION
+        assert "negative occupation -1" in capsys.readouterr().err
 
 
 class TestLimits:
@@ -206,19 +217,24 @@ class TestFitCommand:
         assert f"argument {flag}" in capsys.readouterr().err
         assert not list(tmp_path.glob("z*"))
 
-    def test_convergence_failure_exit_code(self, tmp_path, trace_path):
-        config = tmp_path / "strict.cfg"
-        config.write_text(
-            "trace_fit.fit_window_hz = 2e6, inf\n"
-            "trace_fit.max_iterations = 1\n"
-            "trace_fit.convergence_tol = 1e-12\n"
-            "cli.grid_hz = 0.5e6, 10e6, 30e3\n"
-        )
-        code = run(
-            "--config", str(config), "fit", "--trace", str(trace_path),
-            "--guess=-60,0.1,1e5", "--output-prefix", str(tmp_path / "y"),
-        )
+    def test_convergence_failure_exit_code(self, tmp_path, capsys):
+        # a flat trace on which xi -> 1 and delta -> inf creep until the iterations run out
+        trace_path = tmp_path / "flat.csv"
+        assert run("synth", "--which", "flat", "--xi", "0.72", "--delta-hz", "3e6",
+                   "--s0-dbm", "-80", "--noise-db", "0.1", "--seed", "7",
+                   "--output", str(trace_path)) == 0
+        code = run("fit", "--trace", str(trace_path), "--output-prefix", str(tmp_path / "y"))
         assert code == cli.EXIT_CONVERGENCE
+        assert "no convergence after 200 iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("guess", ["-80,0.5,nan", "-80,0.5,inf", "nan,0.5,3e6"])
+    def test_non_finite_guess_exits_4(self, tmp_path, trace_path, guess, capsys):
+        # the NaN or infinite delta went into the loop and exited 5; a NaN S0 exited 0
+        code = run("fit", "--trace", str(trace_path), f"--guess={guess}",
+                   "--output-prefix", str(tmp_path / "g"))
+        assert code == cli.EXIT_VALIDATION
+        assert "initial guess must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("g*"))
 
     def test_optimum_on_the_xi_bound_converges(self, tmp_path):
         # the unconstrained step kept pushing xi into its bound here until
@@ -397,6 +413,7 @@ REFUSED = {
     ("uncertainty", "--xi=nan"), ("uncertainty", "--u-grid=1,inf"),
     ("uncertainty", "--u-grid=nan,1"), ("spectra", "--s0-dbm=nan"), ("spectra", "--s0-dbm=inf"),
     ("spectra", "--d=nan"), ("spectra", "--delta-hz=nan"),
+    ("synth", "--rbw-hz=nan"), ("synth", "--rbw-hz=inf"), ("synth", "--rbw-hz=-inf"),
 }
 
 
@@ -524,8 +541,9 @@ def _joined(parts):
 
 
 CONFIG_LINES = st.one_of(
-    st.sampled_from([b"fock.max_n = 0", b"fock.max_n = 3", b"# note", b"",
-                     b"trace_fit.exclusions_hz =", b"cli.grid_hz = 1e6, 2e6, 1e5"]),
+    st.sampled_from([b"trace_fit.weight_space = linear", b"trace_fit.fit_window_hz = 1e6, 9e6",
+                     b"# note", b"", b"trace_fit.exclusions_hz =",
+                     b"cli.grid_hz = 1e6, 2e6, 1e5"]),
     st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from([" = ", "=", ":", " "]))
     .map(lambda kv: "".join(kv).encode())
     .flatmap(lambda head: _joined(st.one_of(
@@ -559,14 +577,21 @@ class TestConfig:
             code = cli.main(["--config", str(path), "limits", "--n-max", "1"])
         assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION)
 
+    def test_readme_defaults_table_is_DEFAULTS(self):
+        # every row of the README "Physical defaults" table, parsed as a
+        # config file value: a key added or removed without the README fails
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Physical defaults", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]*)` \|", section, flags=re.MULTILINE)
+        assert [key for key, _ in rows] == list(cli.DEFAULTS)
+        for key, text in rows:
+            default, parse = cli.DEFAULTS[key]
+            assert parse(text) == default, key
+
     def test_defaults_load(self):
         assert cli.load_config(None) == {
-            "fock.cutoff": 8,
-            "fock.max_n": 10,
             "trace_fit.fit_window_hz": (2e6, np.inf),
             "trace_fit.exclusions_hz": ((3.8e6, 4.0e6),),
-            "trace_fit.max_iterations": 200,
-            "trace_fit.convergence_tol": 1e-12,
             "trace_fit.weight_space": "db",
             "cli.grid_hz": (0.5e6, 10e6, 30e3),
         }
@@ -574,20 +599,15 @@ class TestConfig:
     def test_file_values_are_typed(self, tmp_path):
         config = cli.load_config(self.write(tmp_path, (
             "# comment\n"
-            "fock.cutoff = 5  # trailing comment\n"
-            "trace_fit.fit_window_hz = 1e6, 9e6\n"
+            "trace_fit.fit_window_hz = 1e6, 9e6  # trailing comment\n"
             "trace_fit.exclusions_hz = 3e6:3.1e6; 5e6:5.2e6\n"
-            "trace_fit.max_iterations = 50\n"
             "trace_fit.weight_space = linear\n"
-            "cli.grid_hz = 1e6, 2e6, 1e5\n"
         )))
-        assert config["fock.cutoff"] == 5
-        assert config["fock.max_n"] == 10
         assert config["trace_fit.fit_window_hz"] == (1e6, 9e6)
         assert config["trace_fit.exclusions_hz"] == ((3e6, 3.1e6), (5e6, 5.2e6))
-        assert config["trace_fit.max_iterations"] == 50
-        assert config["trace_fit.convergence_tol"] == 1e-12
         assert config["trace_fit.weight_space"] == "linear"
+        assert config["cli.grid_hz"] == (0.5e6, 10e6, 30e3)
+        config = cli.load_config(self.write(tmp_path, "cli.grid_hz = 1e6, 2e6, 1e5\n"))
         assert config["cli.grid_hz"] == (1e6, 2e6, 1e5)
 
     def test_empty_exclusions_mean_none(self, tmp_path):
@@ -595,7 +615,7 @@ class TestConfig:
         assert config["trace_fit.exclusions_hz"] == ()
 
     def test_partial_config_keeps_defaults(self, tmp_path, trace_path, capsys):
-        config = self.write(tmp_path, "trace_fit.max_iterations = 150\n")
+        config = self.write(tmp_path, "trace_fit.weight_space = linear\n")
         assert run("--config", config, "fit", "--trace", str(trace_path),
                    "--output-prefix", str(tmp_path / "p")) == 0
         capsys.readouterr()
@@ -604,6 +624,7 @@ class TestConfig:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 317  # the default grid
 
     @pytest.mark.parametrize("line", [
+        # an unknown key is refused at its line as well
         "trace_fit.max_iterations = lots",
         "fock.cutoff = eight",
         "trace_fit.convergence_tol =",
@@ -629,10 +650,6 @@ class TestConfig:
         "trace_fit.weight_space = log",
         "trace_fit.exclusions_hz = 4e6:3e6",
         "trace_fit.fit_window_hz = 5e6, 2e6",
-        "trace_fit.max_iterations = 0",
-        "trace_fit.max_iterations = -3",
-        "trace_fit.convergence_tol = -1",
-        "trace_fit.convergence_tol = nan",
     ])
     def test_domain_rule_is_validation_error(self, tmp_path, trace_path, line):
         config = self.write(tmp_path, line + "\n")

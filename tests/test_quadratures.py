@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinbeam import fock, spectra
 from twinbeam import quadratures as quad
-from twinbeam import spectra
+from twinbeam.modes import ModeLabel, Polarization, Port
 from twinbeam.errors import TruncationError, ValidationError
 
 
@@ -124,18 +125,21 @@ class TestNumberDifferenceStd:
             quad.number_difference_std(state_swapped, 0.0), rel=1e-10
         )
 
-    def test_unequal_means_require_flag(self):
-        state = quad.QuadratureState(2.0, 1.0)
-        with pytest.raises(ValidationError):
-            quad.number_difference_std(state, 0.0)
-
     def test_generalized_formula_matches_poisson_statistics(self):
         # exact for coherent beams: Var(N_-) = |alpha|^2 + |beta|^2
         alpha, beta = 2.0, 1.0 + 0.5j
-        got = quad.number_difference_std(
-            quad.QuadratureState(alpha, beta), 0.0, allow_unequal_means=True
-        )
+        got = quad.number_difference_std(quad.QuadratureState(alpha, beta), 0.0)
         assert got == pytest.approx(np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 1.0 + 0.5j), (0.5, 1.5j), (1.8, 0.0)])
+    def test_unbalanced_coherent_pairs_match_the_fock_engine(self, alpha, beta):
+        # the linearization is exact on coherent inputs, balanced or not
+        modes = (ModeLabel(Polarization.H, 0, Port.A), ModeLabel(Polarization.V, 0, Port.A))
+        state = fock.make_coherent_pair(alpha, beta, 40, modes=modes)
+        linear = quad.QuadratureState(alpha, beta)
+        for theta in (0.0, np.pi / 16, np.pi / 8, 0.3, np.pi / 4):
+            exact = fock.number_difference_stats(fock.apply_waveplate_polarizer(state, theta)).std
+            assert quad.number_difference_std(linear, theta) == pytest.approx(exact, rel=1e-12)
 
 
 class TestCrossCheck:

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -104,6 +105,36 @@ class TestLoadTrace:
     def test_grid_needs_finite_ordered_ends_and_a_finite_positive_step(self, grid):
         with pytest.raises(ValidationError, match="grid requires"):
             tracefit.grid_hz(*grid)
+
+    @pytest.mark.parametrize("grid", [
+        (1e6, 2e6, 1e-300), (1e6, 2e6, 5e-324), (0.0, 1e7, 1.0), (-1e308, 1e308, 1.0),
+    ])
+    def test_grid_above_the_point_cap_is_refused_before_any_allocation(self, grid):
+        # 1e-300 made np.arange raise "Maximum allowed size exceeded", 5e-324
+        # an OverflowError; (0, 1e7, 1) asks for one point past the cap
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="exceeds 10000000"):
+                tracefit.grid_hz(*grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_grid_at_the_point_cap_is_kept(self, monkeypatch):
+        monkeypatch.setattr(tracefit, "MAX_GRID_POINTS", 11)
+        assert tracefit.grid_hz(0.0, 10.0, 1.0).size == 11
+        with pytest.raises(ValidationError, match="exceeds 11"):
+            tracefit.grid_hz(0.0, 11.0, 1.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "-1e-300"])
+    def test_rbw_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValidationError, match="rbw_hz"):
+            tracefit.SpectrumTrace([1e6, 2e6], [-80.0, -80.0], float(value))
+        text = GOOD_CSV.replace("# rbw_hz=30000", f"# rbw_hz={value}")
+        with pytest.raises(TraceParseError, match="bad rbw_hz value") as err:
+            tracefit.load_trace(text)
+        assert err.value.line == 1
 
     def test_csv_roundtrip(self):
         trace = tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, 0.3, seed=5)
@@ -403,12 +434,13 @@ class TestFit:
             tracefit.fit_intensity_spectrum(trace, config)
 
     def test_nonconvergence_carries_last_iterate(self):
-        trace = tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, 0.2, seed=1)
-        config = tracefit.FitConfig(max_iterations=2, initial_guess=(-60.0, 0.1, 1e5))
+        # a flat trace on which xi -> 1 and delta -> inf creep until the iterations run out
+        params = OpoParams.from_correlation(0.72, 3e6, -80.0)
+        trace = tracefit.synth_trace(params, "flat", noise_db=0.1, seed=7)
         with pytest.raises(FitConvergenceError) as err:
-            tracefit.fit_intensity_spectrum(trace, config)
+            tracefit.fit_intensity_spectrum(trace, tracefit.FitConfig.standard())
         assert err.value.last_params is not None
-        assert err.value.iterations == 2
+        assert err.value.iterations == tracefit.MAX_ITERATIONS == 200
 
     def test_linear_weighting_also_recovers(self):
         trace = tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, 0.0)
@@ -434,6 +466,14 @@ class TestFit:
     def test_bad_xi_guess_rejected(self):
         with pytest.raises(ValidationError):
             tracefit.FitConfig(initial_guess=(-79.0, 1.5, 3e6))
+
+    @pytest.mark.parametrize("guess", [
+        (-80.0, 0.5, math.nan), (-80.0, 0.5, math.inf), (math.nan, 0.5, 3e6),
+        (-math.inf, 0.5, 3e6), (-80.0, math.nan, 3e6),
+    ])
+    def test_non_finite_guess_rejected(self, guess):
+        with pytest.raises(ValidationError, match="initial guess must be finite"):
+            tracefit.FitConfig(initial_guess=guess)
 
 
 def windowed(trace, config):
@@ -600,15 +640,16 @@ class TestBoundedFit:
 class TestStopRule:
     @pytest.mark.parametrize("space", ["db", "linear"])
     @pytest.mark.parametrize("noise_db", [0.0, 0.1])
-    def test_zero_tolerance_converges_at_the_rounding_floor(self, space, noise_db):
+    def test_zero_tolerance_converges_at_the_rounding_floor(self, space, noise_db, monkeypatch):
         # with no relative tolerance only the SSE's rounding floor ends the
         # fit; it must not run out its iterations retrying rounding-level steps
         trace = tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, noise_db, seed=3)
-        fit = tracefit.fit_intensity_spectrum(
-            trace, tracefit.FitConfig.standard(weight_space=space, convergence_tol=0.0))
+        config = tracefit.FitConfig.standard(weight_space=space)
+        with monkeypatch.context() as patch:
+            patch.setattr(tracefit, "CONVERGENCE_TOL", 0.0)
+            fit = tracefit.fit_intensity_spectrum(trace, config)
         assert fit.iterations <= 30
-        default = tracefit.fit_intensity_spectrum(
-            trace, tracefit.FitConfig.standard(weight_space=space))
+        default = tracefit.fit_intensity_spectrum(trace, config)
         np.testing.assert_allclose([fit.s0_dbm, fit.xi, fit.delta_hz],
                                    [default.s0_dbm, default.xi, default.delta_hz], rtol=1e-9)
 
