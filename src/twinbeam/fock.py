@@ -14,6 +14,7 @@ state is an ensemble of pure vectors, and an optic maps each of them alike.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -462,8 +463,11 @@ def apply_beam_splitter(
     match across the port pair; unmatched modes scatter against a vacuum
     partner added on the opposite port. Input ports a, b are relabeled to
     output ports c, d, while c and d stay c and d, so the two ports must land
-    on different outputs: the pairs {a, c} and {b, d} are refused.
+    on different outputs: the pairs {a, c} and {b, d} are refused, and so
+    is a NaN or infinite mixing angle.
     """
+    if not math.isfinite(mixing_angle):
+        raise ValidationError(f"mixing_angle must be finite, got {mixing_angle}")
     p, q = Port(port_pair[0]), Port(port_pair[1])
     if p == q:
         raise ValidationError("beam splitter needs two distinct ports")
@@ -489,7 +493,10 @@ def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeS
     The plate rotates polarizations by 2*theta, so it is a splitter on the
     H/V pair of each frequency tag: theta = pi/8 is balanced and theta = pi/4
     swaps the ports. The polarizer then routes H to port c and V to port d.
+    A NaN or infinite theta is refused.
     """
+    if not math.isfinite(theta):
+        raise ValidationError(f"theta must be finite, got {theta}")
     ports = state.ports()
     if len(ports) != 1:
         raise ValidationError("waveplate input must sit on a single spatial path")

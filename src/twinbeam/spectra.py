@@ -19,6 +19,7 @@ ultra-low-frequency regime is outside this model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,26 +117,154 @@ class SpectrumCurve:
 FREQUENCY_FORMAT = ".10g"
 VALUE_FORMAT = ".12g"
 
+#: Rows spelled per pass of csv_table; bounds its temporaries to a few
+#: hundred kB whatever the table's length.
+_BLOCK_ROWS = 4096
+
 
 def csv_table(columns: dict, comments=(), trailer=()) -> str:
     """``# `` comment lines, the header, one row per sample, ``# `` trailer lines.
 
     The first column is written with FREQUENCY_FORMAT, the others with
-    VALUE_FORMAT; a str column repeats on every row. All rows are formatted
-    by one ``%`` operation on the row template repeated once per sample.
+    VALUE_FORMAT; a str column repeats on every row. Numeric columns must be
+    one-dimensional and of one length, and there must be at least one
+    (``ValueError`` otherwise). Every number is byte-identical to ``format``
+    with its column's format. numpy spells most of them, one block of rows
+    at a time (see :func:`_spell`), and ``format`` spells, one by one, the
+    values that numpy cannot spell exactly.
     """
-    cells, numeric = [], []
+    template, cells = bytearray(), []
     for i, values in enumerate(columns.values()):
+        if i:
+            template += b","
         if isinstance(values, str):
-            cells.append(values.replace("%", "%%"))
-        else:
-            cells.append("%" + (VALUE_FORMAT if i else FREQUENCY_FORMAT))
-            numeric.append(np.asarray(values, dtype=float))
-    row = ",".join(cells) + "\n"
+            template += values.encode("utf-8", "surrogatepass")
+            continue
+        spec = VALUE_FORMAT if i else FREQUENCY_FORMAT
+        precision = int(spec[1:-1])
+        cell = slice(len(template), len(template) + 2 * precision + 6)
+        cells.append((cell, spec, np.asarray(values, dtype=float)))
+        template += b"-0" + b"0" * precision + b".000" + b"0" * precision
+    template += b"\n"
+    if not cells:
+        raise ValueError("a table needs at least one numeric column")
+    n = len(cells[0][2])
+    if any(values.shape != (n,) for _, _, values in cells):
+        raise ValueError("numeric columns must be one-dimensional and of one length")
+
     head = "".join(f"# {line}\n" for line in comments) + ",".join(columns) + "\n"
     tail = "".join(f"# {line}\n" for line in trailer)
-    flat = tuple(np.column_stack(numeric).ravel().tolist())
-    return head + (row * len(numeric[0])) % flat + tail
+    parts = [head.encode("utf-8", "surrogatepass")]
+    row = np.frombuffer(template, dtype=np.uint8)
+    frame = np.empty((min(n, _BLOCK_ROWS), row.size), dtype=np.uint8)
+    frame[...] = row
+    keep = np.ones(frame.shape, dtype=bool)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        block, kept = frame[: stop - start], keep[: stop - start]
+        formatted = [_spell(values[start:stop], spec, block[:, cell], kept[:, cell])
+                     for cell, spec, values in cells]
+        parts.append(block[kept].tobytes())
+        for (cell, _, _), rows in zip(cells, formatted):
+            block[rows, cell] = row[cell]  # format wrote over these cells' fixed bytes
+    parts.append(tail.encode("utf-8", "surrogatepass"))
+    body = b"".join(parts)
+    del parts
+    return body.decode("utf-8", "surrogatepass")
+
+
+@functools.cache
+def _quad_tables():
+    """The four ASCII digits of each of 0..9999 as one uint32 whose bytes
+    read them in order, and the trailing zeros of each (4 for 0)."""
+    ascii_digits = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    zeros = np.zeros((10, 10, 10, 10), dtype=np.intp)
+    for i in range(4):
+        ascii_digits[..., i] = np.arange(48, 58).reshape((10,) + (1,) * (3 - i))
+        zeros[(...,) + (0,) * (i + 1)] += 1
+    return ascii_digits.reshape(10_000, 4).view(np.uint32)[:, 0], zeros.ravel()
+
+
+@functools.cache
+def _cell_tables(precision: int):
+    """10^(P-1-e) for e = -4 .. P - 1, each exact in float64, and one row
+    per (sign, e + 4, index of the last non-zero digit) marking the bytes of
+    a cell that ``format`` keeps."""
+    scale = np.array([float(10 ** (precision + 3 - i)) for i in range(precision + 4)])
+    neg = np.arange(2)[:, None, None, None]
+    e = np.arange(-4, precision)[None, :, None, None]
+    last = np.arange(precision)[None, None, :, None]
+    digit = np.arange(precision)[None, None, None, :]
+    # in cell order: the sign, the 0, the first digit run, the dot, the three
+    # zeros, the second digit run
+    parts = [neg == 1, e < 0, (e >= 0) & (digit <= e), (e < 0) | (last > e),
+             (e < 0) & (np.arange(3) >= e + 4), (digit > e) & (digit <= last)]
+    shape = (2, precision + 4, precision)
+    keep_rows = np.concatenate([np.broadcast_to(b, shape + b.shape[3:]) for b in parts], axis=3)
+    return scale, keep_rows.reshape(-1, 2 * precision + 6)
+
+
+def _spell(x, spec, frame, keep):
+    """Write ``format(v, spec)`` for each v of x into one row of frame, mark
+    its bytes in keep, and return the rows that ``format`` spelled.
+
+    spec is ``.Pg`` with P <= 15, and a row of frame is a cell: a ``-``, a
+    ``0``, P digits, ``.000`` and the P digits again. Take e = floor(log10|v|)
+    in [-4, P - 1], where ``%g`` writes fixed notation, and m = |v| 10^(P-1-e)
+    in float64. The power of ten is exact, so m is the exact product rounded
+    once. Rounding is monotone and every half-integer below 10^P is a float,
+    so m and the exact product lie on the same side of every half-way point:
+    rint(m) is the P-digit integer ``format`` rounds to whenever
+    10^(P-1) <= m, rint(m) < 10^P and m is not itself a half-integer. (An m
+    rounded up to 10^(P-1) spells what ``format`` spells after rounding |v|
+    up into the next decade.) Its digits fill both digit runs, and the bytes
+    kept depend only on the sign, on e and on the last non-zero digit: the
+    integer digits through e from the first run (the ``0`` for e < 0), a
+    ``.``, the -e - 1 zeros for e < 0, and the fraction digits through the
+    last non-zero one from the second run. Every other value (0, inf, NaN,
+    exponent notation, a half-integer m, an m pushed out of
+    [10^(P-1), 10^P) by a log10 off by one) is written by ``format`` over its
+    row.
+    """
+    precision = int(spec[1:-1])
+    scale, keep_rows = _cell_tables(precision)
+    quad_ascii, quad_zeros = _quad_tables()
+    lowest, top = float(10 ** (precision - 1)), float(10**precision)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ax = np.abs(x)
+        # e + 4, clipped to [0, P + 3]; NaN gives 0
+        e4 = np.fmin(np.fmax(np.log10(ax) + 4.0, 0.0), precision + 3.0).astype(np.intp)
+        m = ax * scale[e4]
+        digits = np.rint(m)
+        ok = (m >= lowest) & (digits < top) & (np.abs(m - digits) != 0.5)
+    formatted = np.flatnonzero(~ok)
+    digits[formatted] = lowest
+
+    groups = -(-precision // 4)
+    quads = np.empty((x.size, groups), dtype=np.intp)
+    for g in range(groups - 1, 0, -1):
+        # floor(d / 10^4) is exact for an integer d < 2^53
+        high = np.floor(digits / 1e4)
+        quads[:, g] = digits - high * 1e4
+        digits = high
+    quads[:, 0] = digits
+    ascii_digits = quad_ascii[quads].view(np.uint8)[:, 4 * groups - precision :]
+    frame[:, 2 : precision + 2] = ascii_digits
+    frame[:, precision + 6 :] = ascii_digits
+    zeros = quad_zeros[quads[:, -1]]
+    for g in range(groups - 2, -1, -1):
+        rows = np.flatnonzero(zeros == 4 * (groups - 1 - g))
+        zeros[rows] += quad_zeros[quads[rows, g]]
+    index = e4 * precision + (precision - 1) - zeros
+    index += (x < 0.0) * ((precision + 4) * precision)
+    keep[...] = keep_rows.take(index, axis=0)
+
+    if formatted.size:
+        text = np.array([format(v, spec).encode() for v in x[formatted].tolist()],
+                        dtype=f"S{frame.shape[1]}").view(np.uint8).reshape(formatted.size, -1)
+        frame[formatted] = text
+        keep[formatted] = text != 0
+    return formatted
 
 
 # ---------------------------------------------------------------------------

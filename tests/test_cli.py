@@ -406,6 +406,7 @@ FLOAT_FLAG_RUNS = [
     ("fit", "--f-max={}"),
     ("fit", "--exclude={}:5e6"),
     ("fit", "--exclude=4e6:{}"),
+    ("hom", "--theta={}"),
 ]
 #: (command, last argument) of runs that must be refused with exit 4.
 REFUSED = {
@@ -414,6 +415,7 @@ REFUSED = {
     ("uncertainty", "--u-grid=nan,1"), ("spectra", "--s0-dbm=nan"), ("spectra", "--s0-dbm=inf"),
     ("spectra", "--d=nan"), ("spectra", "--delta-hz=nan"),
     ("synth", "--rbw-hz=nan"), ("synth", "--rbw-hz=inf"), ("synth", "--rbw-hz=-inf"),
+    ("hom", "--theta=nan"), ("hom", "--theta=inf"), ("hom", "--theta=-inf"),
 }
 
 

@@ -276,6 +276,11 @@ class TestBeamSplitter:
         with pytest.raises(ValidationError):
             fock.apply_beam_splitter(state)
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mixing_angle_rejected(self, angle):
+        with pytest.raises(ValidationError, match=f"mixing_angle must be finite, got {angle}"):
+            fock.apply_beam_splitter(fock.make_fock([1, 1], cutoff=2), mixing_angle=angle)
+
     @pytest.mark.parametrize("ports", [(Port.A, Port.C), (Port.C, Port.A),
                                        (Port.B, Port.D), (Port.D, Port.B)])
     def test_port_pair_on_one_output_rejected(self, ports, monkeypatch):
@@ -333,6 +338,11 @@ class TestWaveplatePolarizer:
     def test_requires_single_path(self):
         with pytest.raises(ValidationError):
             fock.apply_waveplate_polarizer(fock.make_fock([1, 1], cutoff=2), 0.1)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValidationError, match=f"theta must be finite, got {theta}"):
+            fock.apply_waveplate_polarizer(self.pair(1, 1, 2), theta)
 
     def test_weight_above_the_cutoff_gets_only_the_phase_shifters(self):
         # coherent light leaves a leakage-level weight on H + V > cutoff,

@@ -249,6 +249,74 @@ class TestCsvTable:
         columns = {"n": np.array(n), "root": np.sqrt(np.abs(np.array(n, dtype=float)))}
         assert spectra.csv_table(columns) == csv_table_per_row(columns)
 
+    @staticmethod
+    def assert_matches_oracle(values):
+        columns = {"frequency_hz": values, "value": values, "unit": "relative", "neg": -values}
+        assert spectra.csv_table(columns) == csv_table_per_row(columns)
+
+    @staticmethod
+    def with_ulps(values, count):
+        """values and their neighbours up to count ulps away on each side."""
+        out, up, down = [values], values, values
+        for _ in range(count):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            out += [up, down]
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("values", [
+        np.concatenate([10.0 ** np.arange(-6, 14), -(10.0 ** np.arange(-6, 14))]),
+        np.ldexp(np.random.default_rng(1).uniform(1.0, 2.0, 2098), np.arange(-1074, 1024)),
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 0.0]),
+        np.concatenate([2.0**53 + np.arange(-4, 5), -(2.0**53) - np.arange(-4, 5),
+                        np.random.default_rng(2).integers(-(2**62), 2**62, 500),
+                        10.0 ** np.arange(10, 20)]),
+    ], ids=["powers_of_ten", "one_per_binary_exponent", "zeros_inf_nan", "integers_past_2_53"])
+    def test_edge_values_match_per_row_format(self, values):
+        self.assert_matches_oracle(self.with_ulps(values.astype(float), 3))
+
+    @pytest.mark.parametrize("digits", [10, 12])
+    def test_exact_decimal_half_ties(self, digits):
+        # q / 2^j is exactly the (digits + 1)-digit decimal q 5^j / 10^j, whose
+        # last digit is a 5 whenever q 5^j ends in one
+        rng = np.random.default_rng(digits)
+        ties = []
+        for j in range(digits + 5):
+            lo, hi = -(-10**digits // 5**j), 10 ** (digits + 1) // 5**j
+            q = rng.integers(lo, hi, 40) if hi > lo + 40 else np.arange(lo, hi)
+            q = q[(q * 5**j) % 10 == 5]
+            ties.append(np.ldexp(q.astype(float), -j))
+        ties = np.concatenate(ties)
+        assert ties.size > 250
+        self.assert_matches_oracle(self.with_ulps(ties, 1))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, spectra._BLOCK_ROWS + 1])
+    def test_lengths_around_the_block(self, extra):
+        # every fourth value is one that format spells, so rows it spells in
+        # one block are spelled by numpy in the next
+        n = spectra._BLOCK_ROWS + extra
+        rng = np.random.default_rng(n)
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 14.0, n)
+        values[::4] = rng.choice([0.0, np.nan, -np.inf, 1e-9, 2.5e15, 0.5], values[::4].size)
+        self.assert_matches_oracle(values)
+
+    def test_a_full_size_synthetic_trace(self):
+        from twinbeam import tracefit
+
+        params = spectra.OpoParams.from_correlation(0.72, 3e6, -80.0)
+        trace = tracefit.synth_trace(params, "intensity", tracefit.grid_hz(0.5e6, 10e6, 100.0),
+                                     0.05, seed=4)
+        assert len(trace) == 95_001
+        columns = {"frequency_hz": trace.frequencies_hz, "power_dbm": trace.powers_dbm}
+        assert spectra.csv_table(columns) == csv_table_per_row(columns)
+
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError):
+            spectra.csv_table({"frequency_hz": [1.0, 2.0], "value": [1.0]})
+
+    def test_a_table_of_str_columns_only_is_refused(self):
+        with pytest.raises(ValueError):
+            spectra.csv_table({"unit": "relative"})
+
     def test_percent_and_braces_in_str_column(self):
         columns = {"frequency_hz": [1e6, 2e6], "value": [0.5, 0.25], "unit": "100%{x}%%s"}
         assert spectra.csv_table(columns, ["c %s {}"], ["t %d"]) == (

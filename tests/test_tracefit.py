@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from twinbeam import tracefit
 from twinbeam.errors import FitConvergenceError, TraceParseError, ValidationError
-from twinbeam.spectra import OpoParams
+from twinbeam.spectra import OpoParams, SpectrumCurve
 
 PARAMS_A = OpoParams.from_correlation(0.72, 2.98e6, -79.0)
 PARAMS_B = OpoParams.from_correlation(0.5, 4.3e6, -79.5)
@@ -135,6 +135,21 @@ class TestLoadTrace:
         with pytest.raises(TraceParseError, match="bad rbw_hz value") as err:
             tracefit.load_trace(text)
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("write", [
+        tracefit.trace_to_csv,
+        lambda trace: SpectrumCurve(trace.frequencies_hz, trace.powers_dbm, "dbm").to_csv(),
+    ], ids=["trace_to_csv", "to_csv"])
+    def test_writing_a_full_size_trace_allocates_under_four_times_its_text(self, write):
+        trace = tracefit.synth_trace(PARAMS_A, "intensity", (0.5e6, 10e6, 100.0), 0.05, seed=4)
+        assert len(trace) == 95_001
+        tracemalloc.start()
+        try:
+            text = write(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
 
     def test_csv_roundtrip(self):
         trace = tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, 0.3, seed=5)
