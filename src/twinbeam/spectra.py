@@ -79,13 +79,19 @@ class OpoParams:
 
     @classmethod
     def from_correlation(cls, xi: float, delta_hz: float, s0_dbm: float) -> "OpoParams":
-        """Parameters with the given xi and delta (T + A normalized to 1)."""
+        """Parameters with the given xi and delta (T + A normalized to 1/2).
+
+        T = xi / 2, A = (1 - xi) / 2 and D = 4 pi delta: exact power-of-two
+        scalings of T = xi, A = 1 - xi, D = 2 pi delta, so ``xi`` and
+        ``delta_hz`` read back bit for bit as with T + A = 1, and xi = 1 is
+        the lossless cavity T = 1/2, A = 0.
+        """
         xi = _check_xi(xi)
         if xi == 0.0:
             raise ValidationError("xi = 0 does not define a cavity (T must be positive)")
         if not 0.0 < delta_hz < math.inf:
             raise ValidationError(f"delta must be positive and finite, got {delta_hz}")
-        return cls(xi, 1.0 - xi, 2.0 * np.pi * delta_hz, s0_dbm)
+        return cls(0.5 * xi, 0.5 * (1.0 - xi), 4.0 * np.pi * delta_hz, s0_dbm)
 
 
 @dataclass(frozen=True)

@@ -722,9 +722,13 @@ def synth_trace(
 
     ``grid`` is either a (start_hz, stop_hz, step_hz) triple or an explicit
     frequency array; the phase model requires strictly positive frequencies.
+    ``noise_db`` must be finite and non-negative and ``seed`` non-negative,
+    with or without noise.
     """
-    if not noise_db >= 0.0:
-        raise ValidationError(f"noise_db must be non-negative, got {noise_db}")
+    if not 0.0 <= noise_db < math.inf:
+        raise ValidationError(f"noise_db must be non-negative and finite, got {noise_db}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if isinstance(grid, tuple) and len(grid) == 3:
         nu = grid_hz(*grid)
     else:

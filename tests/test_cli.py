@@ -112,6 +112,17 @@ class TestSpectra:
         for line in lines[1:]:
             assert float(line.split(",")[1]) == -79.0
 
+    def test_unit_correlation(self, capsys):
+        assert run(
+            "spectra", "--xi", "1", "--delta-hz", "3e6", "--s0-dbm", "-80",
+            "--f-start", "1e6", "--f-stop", "5e6", "--f-step", "1e6",
+        ) == 0
+        for line in capsys.readouterr().out.strip().splitlines()[1:]:
+            nu, intensity_dbm, _, _ = (float(x) for x in line.split(","))
+            u = nu / 3e6
+            assert intensity_dbm == pytest.approx(-80 + 10 * np.log10(u**2 / (1 + u**2)),
+                                                  abs=1e-9)
+
     def test_phase_grid_with_zero_frequency_fails(self, capsys):
         assert run(
             "spectra", "--xi", "0.5", "--delta-hz", "4.3e6", "--s0-dbm", "-79.5",
@@ -416,6 +427,7 @@ REFUSED = {
     ("spectra", "--d=nan"), ("spectra", "--delta-hz=nan"),
     ("synth", "--rbw-hz=nan"), ("synth", "--rbw-hz=inf"), ("synth", "--rbw-hz=-inf"),
     ("hom", "--theta=nan"), ("hom", "--theta=inf"), ("hom", "--theta=-inf"),
+    ("synth", "--noise-db=nan"), ("synth", "--noise-db=inf"), ("synth", "--noise-db=-inf"),
 }
 
 
@@ -501,6 +513,27 @@ class TestSynth:
         ) == cli.EXIT_VALIDATION
         assert "noise_db" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,name", [
+        (("--noise-db", "inf"), "noise_db"), (("--noise-db", "0.1", "--seed", "-1"), "seed"),
+        (("--seed", "-1"), "seed"),
+    ])
+    def test_non_finite_noise_or_negative_seed_is_named(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "synth.csv"
+        assert run(
+            "synth", "--xi", "0.5", "--delta-hz", "3e6", "--s0-dbm", "-80", *flags,
+            "--output", str(out),
+        ) == cli.EXIT_VALIDATION
+        assert f"{name} must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unit_correlation(self, capsys):
+        assert run("synth", "--xi", "1", "--delta-hz", "3e6", "--s0-dbm", "-80",
+                   "--f-start", "1e6", "--f-stop", "2e6", "--f-step", "5e5") == 0
+        body = np.array([[float(x) for x in line.split(",")]
+                         for line in capsys.readouterr().out.splitlines()[3:]])
+        u = body[:, 0] / 3e6
+        np.testing.assert_allclose(body[:, 1], -80 + 10 * np.log10(u**2 / (1 + u**2)), atol=1e-9)
 
     @pytest.mark.parametrize("char", list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
     def test_label_with_line_break_rejected(self, tmp_path, capsys, char):

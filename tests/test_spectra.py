@@ -153,6 +153,23 @@ class TestOpoParams:
         assert params.xi == pytest.approx(0.72, rel=1e-14)
         assert params.delta_hz == pytest.approx(2.98e6, rel=1e-14)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xi=st.floats(min_value=1e-300, max_value=1.0),
+        delta_hz=st.floats(min_value=1e-3, max_value=1e300),
+    )
+    def test_from_correlation_reads_back_as_with_t_plus_a_one(self, xi, delta_hz):
+        """T + A = 1/2 is a power-of-two scaling of T + A = 1: same bits back."""
+        params = spectra.OpoParams.from_correlation(xi, delta_hz, -79.0)
+        total = xi + (1.0 - xi)
+        assert params.xi == xi / total
+        assert params.delta_hz == total * (2.0 * np.pi * delta_hz) / (2.0 * np.pi)
+
+    def test_unit_correlation_is_the_lossless_cavity(self):
+        params = spectra.OpoParams.from_correlation(1.0, 3e6, -80.0)
+        assert (params.transmissivity, params.loss) == (0.5, 0.0)
+        assert (params.xi, params.delta_hz) == (1.0, 3e6)
+
     @pytest.mark.parametrize("bad", [
         dict(transmissivity=0.0), dict(loss=1.0), dict(free_spectral_range_hz=-1.0),
         dict(free_spectral_range_hz=math.nan), dict(free_spectral_range_hz=math.inf),

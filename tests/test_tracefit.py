@@ -1,6 +1,7 @@
 """Trace ingestion, floor subtraction, fitting, and prediction tests."""
 
 import contextlib
+import io
 import math
 import tracemalloc
 import warnings
@@ -53,6 +54,19 @@ class TestLoadTrace:
     def test_bytes_input(self):
         trace = tracefit.load_trace(GOOD_CSV.encode("utf-8"))
         assert len(trace) == 8
+
+    @pytest.mark.parametrize("stream", [io.StringIO, lambda text: io.BytesIO(text.encode())],
+                             ids=["text", "bytes"])
+    def test_stream_reads_as_its_text(self, stream):
+        expected = tracefit.load_trace(GOOD_CSV)
+        trace = tracefit.load_trace(stream(GOOD_CSV))
+        np.testing.assert_array_equal(trace.frequencies_hz, expected.frequencies_hz)
+        np.testing.assert_array_equal(trace.powers_dbm, expected.powers_dbm)
+        assert (trace.rbw_hz, trace.label) == (expected.rbw_hz, expected.label)
+        bad = GOOD_CSV.replace("1060000,-79.9", "1060000,oops")
+        with pytest.raises(TraceParseError) as err:
+            tracefit.load_trace(stream(bad))
+        assert err.value.line == 6
 
     def test_duplicate_frequency_names_line(self):
         bad = GOOD_CSV + "1210000,-80.0\n"
@@ -903,7 +917,12 @@ class TestSynth:
         with pytest.raises(DomainError):
             tracefit.synth_trace(PARAMS_A, "phase", np.array([0.0, 1e6]))
 
-    @pytest.mark.parametrize("noise_db", [-1.0, float("nan")])
+    @pytest.mark.parametrize("noise_db", [-1.0, float("nan"), math.inf, -math.inf])
     def test_negative_noise_rejected(self, noise_db):
         with pytest.raises(ValidationError, match="noise_db"):
             tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, noise_db)
+
+    @pytest.mark.parametrize("noise_db", [0.0, 0.1])
+    def test_negative_seed_rejected_with_or_without_noise(self, noise_db):
+        with pytest.raises(ValidationError, match="seed must be non-negative"):
+            tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, noise_db, seed=-1)
