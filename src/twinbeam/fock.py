@@ -268,12 +268,13 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
 
 _UNITARY_TOL = 1e-12
 
-#: (c, s, blocks): the read-only real blocks of the last rotation built, at
-#: the largest dim asked for since; block n does not depend on dim, so a
-#: smaller dim is the leading slice. Both splitter conventions at one angle
-#: give bit-identical (c, s) and share it. A call reads the tuple once, so
-#: the (c, s) it compares always belong to the blocks it returns.
-_rotation = (None, None, np.ones((0, 0, 0)))
+#: (c, s) -> the read-only real blocks of that rotation, at the largest dim
+#: asked for since; block n does not depend on dim, so a smaller dim is the
+#: leading slice. Both splitter conventions at one angle give bit-identical
+#: (c, s) and share an entry. The _ROTATIONS_KEPT newest builds are kept,
+#: so a cycle over a few angles builds each once.
+_rotations: dict[tuple[float, float], np.ndarray] = {}
+_ROTATIONS_KEPT = 4
 
 
 def _rotation_blocks(c: float, s: float, dim: int) -> np.ndarray:
@@ -328,12 +329,11 @@ def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray
     Block n of the optic, mapping |k, n-k> to |j, n-j>, is
     ``phase_out[j, n-j] * blocks[n, j, k] * phase_in[n-k]`` in the leading
     (n+1) x (n+1) corner; beyond it the blocks carry the identity. The real
-    blocks of the last rotation are kept and shared by every later call with
-    the same (c, s) and at most the same dim.
+    blocks of the last few rotations built are kept and shared by every later
+    call with the same (c, s) and at most the same dim.
 
     Raises ValidationError when the 2x2 mode map is not unitary.
     """
-    global _rotation
     alpha, beta, gamma, delta = (complex(x) for x in (alpha, beta, gamma, delta))
     # rows of unit norm and orthogonal; a sum, so that a NaN is not lost
     error = (abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0)
@@ -348,10 +348,13 @@ def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray
     det = alpha * delta - beta * gamma
     p = det / abs(det) / (q1 * q2)
 
-    cached_c, cached_s, blocks = _rotation
-    if (c, s) != (cached_c, cached_s) or len(blocks) < dim:
+    blocks = _rotations.get((c, s))
+    if blocks is None or len(blocks) < dim:
         blocks = _rotation_blocks(c, s, dim)
-        _rotation = (c, s, blocks)
+        _rotations.pop((c, s), None)
+        _rotations[c, s] = blocks
+        if len(_rotations) > _ROTATIONS_KEPT:
+            _rotations.pop(next(iter(_rotations)), None)
     q1_powers, q2_powers, p_powers = _powers((q1, q2, p), dim)
     return p_powers, blocks[:dim, :dim, :dim], np.multiply.outer(q1_powers, q2_powers)
 

@@ -84,11 +84,13 @@ class OpoParams:
         T = xi / 2, A = (1 - xi) / 2 and D = 4 pi delta: exact power-of-two
         scalings of T = xi, A = 1 - xi, D = 2 pi delta, so ``xi`` and
         ``delta_hz`` read back bit for bit as with T + A = 1, and xi = 1 is
-        the lossless cavity T = 1/2, A = 0.
+        the lossless cavity T = 1/2, A = 0. The smallest xi is 1e-323: half
+        of 5e-324, the least subnormal, rounds to T = 0.
         """
         xi = _check_xi(xi)
-        if xi == 0.0:
-            raise ValidationError("xi = 0 does not define a cavity (T must be positive)")
+        if not 0.5 * xi > 0.0:
+            raise ValidationError(f"xi = {xi!r} does not define a cavity: T = xi/2 must be "
+                                  f"positive, so xi must be at least 1e-323")
         if not 0.0 < delta_hz < math.inf:
             raise ValidationError(f"delta must be positive and finite, got {delta_hz}")
         return cls(0.5 * xi, 0.5 * (1.0 - xi), 4.0 * np.pi * delta_hz, s0_dbm)

@@ -12,9 +12,11 @@ phase-difference trace from the same three parameters with no extra freedom.
 Trace CSV format: UTF-8, optional ``#`` comment lines carrying
 ``# rbw_hz=...`` and ``# label=...`` metadata, a ``frequency_hz,power_dbm``
 header, then one sample per line with strictly increasing frequencies.
-A trace is split into lines once, by ``str.splitlines``. Its body is read
-by one ``np.loadtxt`` call; where that read fails its checks, the body is
-walked line by line, so every parse error names its line.
+The lines before the body are read one by one. The body is read by one
+``np.loadtxt`` call: numpy's C reader reads it from the file itself when
+the file is plain ASCII text with ``\\n`` line ends, and any other source is
+split into lines by ``str.splitlines`` first. Where that read fails its
+checks, the body is walked line by line, so every parse error names its line.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ MAX_ITERATIONS = 200
 CONVERGENCE_TOL = 1e-12
 
 _HEADER = "frequency_hz,power_dbm"
+#: The ASCII line breaks of ``str.splitlines`` that a split at ``\n`` misses;
+#: a file read as text has its ``\r`` and ``\r\n`` made into ``\n`` already.
+_OTHER_ASCII_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+#: File name endings that numpy's file opener decompresses.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _N_PARAMS = 3
 _XI_MIN = 1e-9
 _LAMBDA0 = 1e-3
@@ -212,7 +219,9 @@ def load_trace(source) -> SpectrumTrace:
 
     A ``Path`` is always a file. A ``str`` is CSV text when it contains a
     newline or starts with ``#`` or with the header, and a file name
-    otherwise. The text is split into lines once (see :func:`_parse`).
+    otherwise. A file is read once as text, which gives the lines before
+    the body and decides how the body is read; where that text allows,
+    numpy reads the file a second time for the body (see :func:`_parse`).
     Malformed rows are rejected with their line number; frequencies must be
     strictly increasing.
     """
@@ -220,8 +229,8 @@ def load_trace(source) -> SpectrumTrace:
         if not source.lstrip().lower().startswith(("#", _HEADER)):
             source = Path(source)
     if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
+        return SpectrumTrace(*_parse(source.read_text(encoding="utf-8"), source))
+    if isinstance(source, bytes):
         text = source.decode("utf-8")
     elif hasattr(source, "read"):
         raw = source.read()
@@ -251,17 +260,10 @@ def _metadata(line: str, lineno: int, rbw_hz: float, label: str) -> tuple[float,
     return rbw_hz, label
 
 
-def _parse(text: str):
-    """``(freqs, powers, rbw_hz, label)`` of a trace.
-
-    ``text`` is split into lines once. The ``#`` lines and the header are
-    walked one by one; the body goes to one ``np.loadtxt`` call, and is
-    walked line by line by :func:`_walk` when that call raises, when its
-    arrays are not two finite columns with increasing frequencies, when the
-    body is blank (``loadtxt`` warns) or when the text holds a ``\\x1f``
-    (which ``loadtxt`` skips around a field and ``float`` refuses).
-    """
-    lines = text.splitlines()
+def _head(lines) -> tuple[int, float, str]:
+    """``(header line number, rbw_hz, label)`` from the ``#`` lines and the
+    header, read one by one from the iterator ``lines``, which is left at
+    the first body line."""
     rbw_hz, label = 0.0, ""
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -270,14 +272,52 @@ def _parse(text: str):
         if not stripped.startswith("#"):
             if [c.strip().lower() for c in stripped.split(",")] != _HEADER.split(","):
                 raise TraceParseError(f"expected header {_HEADER!r}, got {stripped!r}", lineno)
-            break
+            return lineno, rbw_hz, label
         rbw_hz, label = _metadata(line, lineno, rbw_hz, label)
-    else:
-        raise TraceParseError(f"missing {_HEADER!r} header", 1)
-    body = lines[lineno:]
-    if "\x1f" not in text and any(map(str.strip, body)):
+    raise TraceParseError(f"missing {_HEADER!r} header", 1)
+
+
+def _newline_split(text: str):
+    """The lines of ``text`` split at ``\\n`` alone, one at a time: those of
+    ``text.splitlines()`` when no other line break occurs in it."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        yield text[start:end]
+        start = end + 1
+
+
+def _reads_file_as_lines(text: str, path: Path) -> bool:
+    """Whether ``np.loadtxt`` reading the file ``path``, whose text is
+    ``text``, sees the lines that ``str.splitlines`` sees in ``text``: a
+    regular file, not named as compressed, of ASCII text with no line break
+    but ``\\n``. Both read the file with universal newlines."""
+    return (text.isascii() and not any(c in text for c in _OTHER_ASCII_BREAKS)
+            and not path.name.endswith(_COMPRESSED) and path.is_file())
+
+
+def _parse(text: str, path: Path | None = None):
+    """``(freqs, powers, rbw_hz, label)`` of a trace whose text is ``text``.
+
+    The ``#`` lines and the header are walked one by one. The body goes to
+    one ``np.loadtxt`` call that skips the lines before it: on the file
+    ``path`` itself, read by numpy's C reader, when
+    :func:`_reads_file_as_lines` allows it, and on the list
+    ``text.splitlines()`` otherwise. The body is walked line by line by
+    :func:`_walk` when that call raises, when its arrays are not two finite
+    columns with increasing frequencies, when the body is blank (``loadtxt``
+    warns) or when the text holds a ``\\x1f``.
+    """
+    direct = path is not None and _reads_file_as_lines(text, path)
+    lines = _newline_split(text) if direct else text.splitlines()
+    rest = iter(lines)
+    lineno, rbw_hz, label = _head(rest)
+    if "\x1f" not in text and any(map(str.strip, rest)):
         try:
-            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(path if direct else lines, delimiter=",", comments=None,
+                              ndmin=2, skiprows=lineno, encoding="utf-8")
         except ValueError:
             pass
         else:
@@ -285,6 +325,7 @@ def _parse(text: str):
                     and (np.diff(data[:, 0]) > 0.0).all()):
                 freqs, powers = data.T.copy()
                 return freqs, powers, rbw_hz, label
+    body = (text.splitlines() if direct else lines)[lineno:]
     return _walk(body, lineno, rbw_hz, label)
 
 

@@ -123,6 +123,19 @@ class TestSpectra:
             assert intensity_dbm == pytest.approx(-80 + 10 * np.log10(u**2 / (1 + u**2)),
                                                   abs=1e-9)
 
+    @pytest.mark.parametrize("xi,code", [("5e-324", cli.EXIT_VALIDATION), ("1e-323", 0)])
+    def test_smallest_xi_is_the_least_with_a_positive_transmissivity(self, capsys, xi, code):
+        # half of 5e-324 rounds to T = 0, which was refused as a transmissivity
+        assert run(
+            "spectra", "--xi", xi, "--delta-hz", "3e6", "--s0-dbm", "-80",
+            "--f-start", "1e6", "--f-stop", "2e6", "--f-step", "1e6",
+        ) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "xi = 5e-324" in err and "transmissivity" not in err
+        else:
+            assert err == ""
+
     def test_phase_grid_with_zero_frequency_fails(self, capsys):
         assert run(
             "spectra", "--xi", "0.5", "--delta-hz", "4.3e6", "--s0-dbm", "-79.5",

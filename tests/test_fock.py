@@ -1,6 +1,7 @@
 """Exact Fock-engine tests: interference dichotomies, scaling laws, unitarity."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -621,8 +622,8 @@ class TestInvariants:
 
 
 class TestRotationCache:
-    """pair_unitary keeps the real blocks of the last rotation at the largest
-    dim asked for; the other calls read slices of them."""
+    """pair_unitary keeps the real blocks of the few rotations built last,
+    each at the largest dim asked for; the other calls read slices of them."""
 
     coefficients = staticmethod(TestInvariants.coefficients)
 
@@ -664,3 +665,28 @@ class TestRotationCache:
         phase_out[...] = 0.0
         after = fock.apply_beam_splitter(state).amplitudes
         np.testing.assert_array_equal(after, before)
+
+    def test_interleaved_angles_build_once_each_and_slice_as_a_fresh_build(self, monkeypatch):
+        monkeypatch.setattr(fock, "_rotations", {})
+        thetas = (0.0, np.pi / 16, np.pi / 8)  # the angles of one cross-check
+        calls = []
+        with mock.patch.object(fock, "_rotation_blocks", wraps=fock._rotation_blocks) as build:
+            for _ in range(3):
+                for theta in thetas:
+                    for dim in (9, 5):
+                        coefficients = self.coefficients(theta, fock.ROTATION)
+                        calls.append((coefficients, dim, fock.pair_unitary(*coefficients, dim)[1]))
+        assert build.call_count == len(thetas)
+        for (alpha, beta, _, _), dim, blocks in calls:
+            assert blocks.tobytes() == fock._rotation_blocks(abs(alpha), abs(beta), dim).tobytes()
+
+    def test_the_oldest_rotation_is_evicted_past_the_kept_count(self, monkeypatch):
+        monkeypatch.setattr(fock, "_rotations", {})
+        thetas = [0.1 * (i + 1) for i in range(fock._ROTATIONS_KEPT + 1)]
+        with mock.patch.object(fock, "_rotation_blocks", wraps=fock._rotation_blocks) as build:
+            for theta in thetas + thetas[1:]:
+                fock.pair_unitary(*self.coefficients(theta, fock.SYMMETRIC_I), 6)
+            assert build.call_count == len(thetas)
+            fock.pair_unitary(*self.coefficients(thetas[0], fock.SYMMETRIC_I), 6)
+            assert build.call_count == len(thetas) + 1
+        assert len(fock._rotations) == fock._ROTATIONS_KEPT

@@ -148,6 +148,12 @@ class TestOpoParams:
         with pytest.raises(ValidationError, match="delta must be positive and finite"):
             spectra.OpoParams.from_correlation(0.5, delta_hz, -79.0)
 
+    @pytest.mark.parametrize("xi", [0.0, 5e-324])
+    def test_from_correlation_refuses_an_xi_whose_half_is_zero(self, xi):
+        with pytest.raises(ValidationError, match=rf"^xi = {xi!r} does not define a cavity"):
+            spectra.OpoParams.from_correlation(xi, 3e6, -79.0)
+        assert spectra.OpoParams.from_correlation(1e-323, 3e6, -79.0).transmissivity == 5e-324
+
     def test_from_correlation_roundtrip(self):
         params = spectra.OpoParams.from_correlation(0.72, 2.98e6, -79.0)
         assert params.xi == pytest.approx(0.72, rel=1e-14)

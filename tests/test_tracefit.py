@@ -1,8 +1,11 @@
 """Trace ingestion, floor subtraction, fitting, and prediction tests."""
 
 import contextlib
+import gzip
 import io
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -325,6 +328,135 @@ class TestParseParity:
         assert back.powers_dbm.tobytes() == powers.tobytes()
         assert back.rbw_hz == float(f"{rbw_hz:.10g}")
         assert back.label == label
+
+
+def read_back(source):
+    """What ``load_trace`` makes of ``source``, comparable bit for bit; any
+    warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            trace = tracefit.load_trace(source)
+        except Exception as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+    return ("trace", trace.frequencies_hz.tobytes(), trace.powers_dbm.tobytes(),
+            repr(trace.rbw_hz), trace.label)
+
+
+def assert_file_reads_as_its_text(path, text):
+    """``load_trace`` of the file ``path`` holding ``text`` gives what it
+    gives for the text itself (passed as bytes, so that it is never taken
+    for a file name)."""
+    path.write_bytes(text.encode("utf-8"))
+    assert read_back(path) == read_back(text.encode("utf-8"))
+
+
+def loadtxt_sources(path):
+    """The first argument of every ``np.loadtxt`` call that reading ``path`` makes."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        with contextlib.suppress(TraceParseError):
+            tracefit.load_trace(path)
+    return [call.args[0] for call in loadtxt.call_args_list]
+
+
+class TestFileParity:
+    """A file reads as its text, whether numpy reads its body from the file or
+    from the list of its lines."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("parity") / "trace.csv"
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(text=trace_texts())
+    def test_file_agrees_with_its_text(self, path, text):
+        assert_file_reads_as_its_text(path, text)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(text=st.text(alphabet=ALPHABET, max_size=60))
+    def test_agree_on_arbitrary_text(self, path, text):
+        assert_file_reads_as_its_text(path, "frequency_hz,power_dbm\n" + text)
+        assert_file_reads_as_its_text(path, text)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"] + list(OTHER_LINE_BREAKS))
+    def test_line_ends(self, path, end):
+        assert_file_reads_as_its_text(path, GOOD_CSV.replace("\n", end))
+        assert_file_reads_as_its_text(path, GOOD_CSV.replace("1060000,", f"1060000,{end}"))
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff" + GOOD_CSV,
+        GOOD_CSV.replace("bench trace", "run 3, \u03be=0.72"),
+        "frequency_hz,power_dbm\n",
+        "frequency_hz,power_dbm\n\r\n\n",
+        "frequency_hz,power_dbm\n1e6,-80\n# rbw_hz=1000\n# label=late\n2e6,-81\n",
+        GOOD_CSV.replace("\n", "\n\n  \n"),
+        GOOD_CSV.replace("1060000,-79.9", "1060000,oops"),
+        GOOD_CSV.replace("1060000,-79.9", "1060000,-79.9\x00"),
+    ], ids=["bom", "non-ascii-label", "header-only", "header-and-blank-lines",
+            "metadata-after-header", "blank-lines", "bad-row", "nul"])
+    def test_edge_cases(self, path, text):
+        assert_file_reads_as_its_text(path, text)
+
+    def test_crlf_label_loses_its_line_end(self, path):
+        path.write_bytes(GOOD_CSV.replace("\n", "\r\n").encode())
+        assert tracefit.load_trace(path).label == "bench trace"
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_reads_as_plain_text(self, tmp_path, suffix):
+        path = tmp_path / f"trace.csv{suffix}"
+        assert_file_reads_as_its_text(path, GOOD_CSV)
+        assert loadtxt_sources(path) != [path]
+
+    def test_gzip_file_is_refused_as_not_utf8(self, tmp_path):
+        path = tmp_path / "trace.csv.gz"
+        path.write_bytes(gzip.compress(GOOD_CSV.encode()))
+        with pytest.raises(UnicodeDecodeError):
+            tracefit.load_trace(path)
+
+    def test_wellformed_ascii_file_goes_to_loadtxt_as_its_path(self, path):
+        path.write_bytes(GOOD_CSV.replace("\n", "\r\n").encode())
+        with mock.patch.object(tracefit, "_walk", wraps=tracefit._walk) as walk:
+            assert loadtxt_sources(path) == [path]
+        assert not walk.called
+
+    @pytest.mark.parametrize("text", [
+        GOOD_CSV.replace("bench trace", "\u03be"), GOOD_CSV.replace("\n", "\x0b"),
+        GOOD_CSV.replace("1060000,", "1060000,\x1f"),
+    ], ids=["non-ascii", "vertical-tab", "unit-separator"])
+    def test_other_files_go_to_loadtxt_as_lines(self, path, text):
+        path.write_bytes(text.encode())
+        sources = loadtxt_sources(path)
+        assert all(isinstance(source, list) for source in sources)
+
+    def test_a_file_that_is_not_regular_is_read_once(self, tmp_path):
+        fifo = tmp_path / "trace.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(GOOD_CSV,), daemon=True)
+        writer.start()
+        loadtxt = np.loadtxt
+
+        def lines_only(source, *args, **kwargs):
+            assert isinstance(source, list), "a second read of the FIFO would block"
+            return loadtxt(source, *args, **kwargs)
+
+        with mock.patch.object(np, "loadtxt", side_effect=lines_only):
+            trace = tracefit.load_trace(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (len(trace), trace.rbw_hz, trace.label) == (8, 30000.0, "bench trace")
+
+    def test_full_size_file_read_peaks_under_ten_megabytes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        tracefit.save_trace(
+            tracefit.synth_trace(PARAMS_A, "intensity", (0.5e6, 10e6, 100.0), 0.05, seed=4), path)
+        tracemalloc.start()
+        try:
+            trace = tracefit.load_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 95_001
+        assert peak < 10_000_000
 
 
 LABEL_BREAKS = "\n\r" + OTHER_LINE_BREAKS
