@@ -421,12 +421,11 @@ class TestFileParity:
 
     @pytest.mark.parametrize("text", [
         GOOD_CSV.replace("bench trace", "\u03be"), GOOD_CSV.replace("\n", "\x0b"),
-        GOOD_CSV.replace("1060000,", "1060000,\x1f"),
-    ], ids=["non-ascii", "vertical-tab", "unit-separator"])
+    ], ids=["non-ascii", "vertical-tab"])
     def test_other_files_go_to_loadtxt_as_lines(self, path, text):
         path.write_bytes(text.encode())
-        sources = loadtxt_sources(path)
-        assert all(isinstance(source, list) for source in sources)
+        [source] = loadtxt_sources(path)
+        assert isinstance(source, list)
 
     def test_a_file_that_is_not_regular_is_read_once(self, tmp_path):
         fifo = tmp_path / "trace.csv"
