@@ -57,13 +57,28 @@ class MultimodeState:
     truncation_leakage: float = 0.0
 
     def __post_init__(self):
+        # a copy: a state never freezes or aliases an array its caller holds
+        self._own(np.array(self.vectors, dtype=np.complex128, ndmin=2), np.shape(self.vectors))
+
+    @classmethod
+    def _adopt(cls, modes, cutoff: int, vectors: np.ndarray, truncation_leakage: float):
+        """The state over ``vectors``, a fresh complex128 (K, D) array that
+        no caller holds, taken without the constructor's copy."""
+        state = object.__new__(cls)
+        for name, value in (("modes", modes), ("cutoff", cutoff),
+                            ("truncation_leakage", truncation_leakage)):
+            object.__setattr__(state, name, value)
+        state._own(vectors, vectors.shape)
+        return state
+
+    def _own(self, arr: np.ndarray, shape: tuple) -> None:
+        """Check and freeze ``arr``, given in ``shape``, as this state's
+        vectors, and keep its probabilities, which the norm check sums."""
         modes = tuple(self.modes)
         if len(set(modes)) != len(modes):
             raise ValidationError(f"duplicate mode labels in {modes}")
         if self.cutoff < 1:
             raise ValidationError("cutoff must be >= 1")
-        shape = np.shape(self.vectors)
-        arr = np.array(self.vectors, dtype=np.complex128, ndmin=2)
         arr.setflags(write=False)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "vectors", arr)
@@ -72,6 +87,9 @@ class MultimodeState:
             raise ValidationError(
                 f"amplitude shape {shape} is neither ({basis},) nor (K, {basis}) with K >= 1"
             )
+        probabilities = (np.abs(arr) ** 2).sum(axis=0)
+        probabilities.setflags(write=False)
+        object.__setattr__(self, "_probabilities", probabilities)
         # written so that a NaN norm fails it
         if not abs(self.norm() - 1.0) <= _NORM_TOL:
             raise ValidationError(f"state norm {self.norm()!r} is not 1")
@@ -100,8 +118,9 @@ class MultimodeState:
         return float(self.probabilities().sum())
 
     def probabilities(self) -> np.ndarray:
-        """Occupation-basis probabilities, summed over the ensemble."""
-        return (np.abs(self.vectors) ** 2).sum(axis=0)
+        """Occupation-basis probabilities, summed over the ensemble: one
+        read-only (D,) array, summed when the state is made."""
+        return self._probabilities
 
     def ports(self) -> set[Port]:
         return {m.spatial_port for m in self.modes}
@@ -210,11 +229,14 @@ def _coherent_column(alpha: complex, cutoff: int) -> tuple[np.ndarray, float]:
 def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeState:
     """Product of truncated, renormalized coherent states.
 
-    Requires |alpha|^2 <= cutoff / 4 per mode (truncation safety floor); the
-    combined leakage is stored on the state and a TruncationWarning is issued
-    when it exceeds ``LEAKAGE_THRESHOLD``.
+    Requires finite amplitudes with |alpha|^2 <= cutoff / 4 per mode
+    (truncation safety floor); the combined leakage is stored on the state
+    and a TruncationWarning is issued when it exceeds ``LEAKAGE_THRESHOLD``.
     """
     alpha_a, alpha_b = complex(alpha_a), complex(alpha_b)
+    for name, alpha in (("alpha_a", alpha_a), ("alpha_b", alpha_b)):
+        if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+            raise ValidationError(f"{name} must be finite, got {alpha}")
     for alpha in (alpha_a, alpha_b):
         if abs(alpha) ** 2 > cutoff / 4.0:
             raise ValidationError(
@@ -263,7 +285,9 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
 # with d_n the real block of R. The recursion therefore runs once per (c, s)
 # in real arithmetic, and both splitter conventions at one angle share it.
 # The phases are single-mode phase shifters, exact on every occupation, so a
-# scatter applies them per mode and only R goes through the sectors.
+# scatter applies them per mode and only R goes through the sectors, and of
+# those only the contiguous range its state occupies: a Fock pair |n_a, n_b>
+# sits in the one sector n_a + n_b, a coherent pair in all of them.
 # ---------------------------------------------------------------------------
 
 _UNITARY_TOL = 1e-12
@@ -359,7 +383,7 @@ def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray
     return p_powers, blocks[:dim, :dim, :dim], np.multiply.outer(q1_powers, q2_powers)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat pair index k*dim + n-k and padded-stack slot n*dim + k of every
     |k, n-k> in the sectors n <= dim - 1, and the (dim, dim) mask of the
@@ -372,6 +396,16 @@ def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pair, slot, overflow
 
 
+@lru_cache(maxsize=32)
+def _overflow_mask(dim: int, ndim: int, ax1: int, ax2: int) -> np.ndarray:
+    """The overflow mask of ``_sector_index`` spread over axes ax1, ax2 of a
+    (K, dim, ..., dim) tensor with ``ndim`` axes, the ensemble's excluded.
+    The mask is symmetric, so ax1 > ax2 reads it alike."""
+    shape = [1] * (ndim - 1)
+    shape[ax1 - 1] = shape[ax2 - 1] = dim
+    return np.broadcast_to(_sector_index(dim)[2].reshape(shape), (dim,) * (ndim - 1))
+
+
 def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
                    blocks: np.ndarray, phase_out: np.ndarray) -> tuple[np.ndarray, float]:
     """Apply the optic ``pair_unitary`` returns to axes ax1, ax2, every other
@@ -381,16 +415,14 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
     That weight cannot scatter exactly under the truncation; above the
     leakage threshold it raises CapacityError before any work is done. Only
     the real blocks act sector by sector, on a float64 view of the sector
-    stack. The phases act per mode: p^m on each amplitude gathered into the
-    stack and on the b axis of the output, q1^j q2^k on both of its axes.
+    stack, and only on the range of sectors that holds a non-zero amplitude:
+    a Fock input occupies one sector, a coherent pair all of them. The
+    phases act per mode: p^m on each amplitude gathered into the stack and
+    on the b axis of the output, q1^j q2^k on both of its axes.
     """
     dim = tensor.shape[ax1]
-    pair, slot, overflow = _sector_index(dim)
-    # the (dim, dim) mask spread over the pair's axes; it is symmetric, so
-    # ax1 > ax2 reads it alike
-    shape = [1] * (tensor.ndim - 1)
-    shape[ax1 - 1] = shape[ax2 - 1] = dim
-    outside = tensor[:, np.broadcast_to(overflow.reshape(shape), tensor.shape[1:])]
+    pair, slot, _ = _sector_index(dim)
+    outside = tensor[:, _overflow_mask(dim, tensor.ndim, ax1, ax2)]
     weight = float(np.sum(np.abs(outside) ** 2))
     if weight > LEAKAGE_THRESHOLD:
         raise CapacityError(
@@ -401,9 +433,16 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
     stack = np.zeros((dim * dim, tensor.size // dim**2), dtype=np.complex128)
     # the amplitude at pair index k*dim + m has m photons in b
     stack[slot] = moved.reshape(dim * dim, -1)[pair] * phase_in[pair % dim, None]
-    # each stack is reassigned, not kept under a new name, so it is freed once read
-    stack = blocks @ stack.view(np.float64).reshape(dim, dim, -1)
-    stack = stack.view(np.complex128).reshape(dim * dim, -1)[slot]
+    stack = stack.view(np.float64).reshape(dim, dim, -1)
+    # a state of unit norm holds a non-zero amplitude in some sector
+    occupied = np.flatnonzero(stack.any(axis=(1, 2)))
+    lo, hi = occupied[0], occupied[-1] + 1
+    rotated = np.zeros_like(stack)
+    np.matmul(blocks[lo:hi], stack[lo:hi], out=rotated[lo:hi])
+    # each stack is dropped once read, so that the next can take its memory
+    del stack
+    stack = rotated.view(np.complex128).reshape(dim * dim, -1)[slot]
+    del rotated
     # The output is made only now, so that it can take the memory the
     # rotation freed, and in C order, so that its reshape is a view.
     spread = (1,) * (tensor.ndim - 2)
@@ -450,8 +489,8 @@ def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeStat
         i, j = modes.index(label_i), modes.index(label_j)
         tensor, weight = _contract_pair(tensor, i + 1, j + 1, *optic)
         leakage += weight
-    return MultimodeState(tuple(map(moved, modes)), state.cutoff,
-                          tensor.reshape(len(tensor), -1), leakage)
+    return MultimodeState._adopt(tuple(map(moved, modes)), state.cutoff,
+                                 tensor.reshape(len(tensor), -1), leakage)
 
 
 def apply_beam_splitter(
@@ -519,20 +558,30 @@ def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeS
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=32)
+def _port_index(dim: int, ports: tuple[Port, ...], port_c, port_d) -> tuple[np.ndarray, int, int]:
+    """The flat index n_c * size_d + n_d of every occupation-basis state,
+    for modes on ``ports`` and photon numbers summed per port, with the
+    sizes cutoff * (modes on the port) + 1."""
+    occ = _occupations(dim, len(ports))
+    sel_c = np.array([port == Port(port_c) for port in ports], dtype=bool)
+    sel_d = np.array([port == Port(port_d) for port in ports], dtype=bool)
+    size_c = (dim - 1) * int(sel_c.sum()) + 1
+    size_d = (dim - 1) * int(sel_d.sum()) + 1
+    index = occ[sel_c].sum(axis=0) * size_d + occ[sel_d].sum(axis=0)
+    index.setflags(write=False)
+    return index, size_c, size_d
+
+
 def port_stats(state: MultimodeState, port_c=Port.C, port_d=Port.D) -> np.ndarray:
     """Joint probability P[n_c, n_d] of the photon numbers in two ports.
 
-    Photon numbers are summed over every mode on each port; one bincount
-    over the occupation basis.
+    Photon numbers are summed over every mode on each port; one bincount of
+    the state's probabilities over an index kept per basis layout.
     """
-    occ = _occupations(state.dim, state.n_modes)
-    sel_c = np.array([m.spatial_port == Port(port_c) for m in state.modes])
-    sel_d = np.array([m.spatial_port == Port(port_d) for m in state.modes])
-    size_c = state.cutoff * int(sel_c.sum()) + 1
-    size_d = state.cutoff * int(sel_d.sum()) + 1
-    n_c, n_d = occ[sel_c].sum(axis=0), occ[sel_d].sum(axis=0)
-    joint = np.bincount(n_c * size_d + n_d, weights=state.probabilities(),
-                        minlength=size_c * size_d)
+    index, size_c, size_d = _port_index(
+        state.dim, tuple([m.spatial_port for m in state.modes]), port_c, port_d)
+    joint = np.bincount(index, weights=state.probabilities(), minlength=size_c * size_d)
     return joint.reshape(size_c, size_d)
 
 

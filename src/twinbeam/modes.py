@@ -5,7 +5,7 @@ frequency tags match; distinct tags model beams that are fully
 distinguishable (for example, separated by a cavity free spectral range).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -38,7 +38,7 @@ class ModeLabel:
         return (self.polarization, self.frequency_tag)
 
     def moved_to(self, port: Port) -> "ModeLabel":
-        return replace(self, spatial_port=Port(port))
+        return ModeLabel(self.polarization, self.frequency_tag, port)
 
     def __str__(self) -> str:
         return f"{self.polarization.value}{self.frequency_tag}@{self.spatial_port.value}"

@@ -121,6 +121,55 @@ def twin_fock_output_variance(n: int, convention: str = "symmetric_i") -> float:
     return number_difference_variance(np.abs(out) ** 2, dim)
 
 
+def contract_pair_all_sectors(tensor, ax1, ax2, phase_in, blocks, phase_out):
+    """The two-mode optic ``fock.pair_unitary`` returns, applied to axes
+    ax1, ax2 of a (K, dim, ..., dim) tensor with every one of the dim real
+    sector blocks multiplied, occupied or not, as one stacked product.
+
+    Returns the image and the weight on pair totals above the cutoff. The
+    gather, the products and the sums are the same floating-point operations
+    in the same order as a rotation restricted to the occupied sectors, so
+    the two must agree bit for bit (an empty sector may hold -0.0 here).
+    """
+    dim = tensor.shape[ax1]
+    total = np.add.outer(np.arange(dim), np.arange(dim))
+    shape = [1] * (tensor.ndim - 1)
+    shape[ax1 - 1] = shape[ax2 - 1] = dim
+    above = np.broadcast_to((total >= dim).reshape(shape), tensor.shape[1:])
+    weight = float(np.sum(np.abs(tensor[:, above]) ** 2))
+    moved = np.moveaxis(tensor, (ax1, ax2), (0, 1))
+    rest = moved.shape[2:]
+    # sector n holds |k, n-k> in row k, its amplitude times p^(n-k)
+    stack = np.zeros((dim, dim) + rest, dtype=complex)
+    for n in range(dim):
+        k = np.arange(n + 1)
+        stack[n, k] = moved[k, n - k] * phase_in[n - k].reshape((-1,) + (1,) * len(rest))
+    columns = stack.reshape(dim, dim, -1)
+    rotated = (blocks @ columns.view(np.float64)).view(complex).reshape(stack.shape)
+    spread = (1,) * len(rest)
+    out = np.multiply(moved, phase_in.reshape(dim, *spread), order="C")
+    for n in range(dim):
+        k = np.arange(n + 1)
+        out[k, n - k] = rotated[n, k]
+    out *= phase_out.reshape(dim, dim, *spread)
+    return np.moveaxis(out, (0, 1), (ax1, ax2)), weight
+
+
+def port_joint_by_occupation(probabilities, dim: int, ports, port_c, port_d) -> np.ndarray:
+    """P[n_c, n_d] by a walk over the occupation basis in C order, adding
+    each probability to the cell of its photon numbers summed per port.
+    ``ports`` gives the port of each mode; modes on other ports count for
+    neither. The additions run in basis order, as a bincount's do."""
+    size_c = (dim - 1) * sum(p == port_c for p in ports) + 1
+    size_d = (dim - 1) * sum(p == port_d for p in ports) + 1
+    joint = np.zeros((size_c, size_d))
+    for flat, occupation in enumerate(np.ndindex(*(dim,) * len(ports))):
+        n_c = sum(n for n, p in zip(occupation, ports) if p == port_c)
+        n_d = sum(n for n, p in zip(occupation, ports) if p == port_d)
+        joint[n_c, n_d] += probabilities[flat]
+    return joint
+
+
 def poisson_tail(mean: float, cutoff: int) -> float:
     """P(N > cutoff) for Poisson(mean), by compensated summation."""
     terms = []

@@ -173,6 +173,16 @@ class TestCoherentPair:
         with pytest.raises(ValidationError):
             fock.make_coherent_pair(2.0, 0.0, cutoff=15)  # |alpha|^2 = 4 > 15/4
 
+    @pytest.mark.parametrize("alphas, name", [
+        ((float("nan"), 0.5), "alpha_a"),
+        ((0.5, complex(0.0, float("nan"))), "alpha_b"),
+        ((float("inf"), 0.0), "alpha_a"),
+        ((0.0, complex(float("-inf"), 1.0)), "alpha_b"),
+    ])
+    def test_non_finite_amplitude_rejected_by_name(self, alphas, name):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            fock.make_coherent_pair(*alphas, cutoff=8)
+
     def test_large_leakage_warns(self):
         # |alpha|^2 = 3.24 <= 13/4 passes the floor but leaks well above 1e-8
         assert oracles.poisson_tail(3.24, 13) > 1e-8
@@ -436,6 +446,29 @@ class TestDensityMatrix:
         joint = fock.port_stats(state, Port.A, Port.B)
         assert joint[0, 0] == 0.5 and joint[1, 1] == 0.25 and joint[2, 2] == 0.25
 
+    def test_constructor_copies_and_leaves_the_callers_array_alone(self):
+        vectors = np.zeros((2, 9), dtype=complex)
+        vectors[0, 0] = vectors[1, 4] = np.sqrt(0.5)
+        state = fock.MultimodeState((ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B)), 2, vectors)
+        assert vectors.flags.writeable
+        assert not np.shares_memory(state.vectors, vectors)
+        vectors[0, 0] = 0.0
+        assert state.vectors[0, 0] == np.sqrt(0.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda: fock.make_fock([3, 2], 5),
+        lambda: fock.make_twin_mode_mixture(np.diag([0.25, 0.5, 0.25]), 4),
+    ])
+    def test_optic_output_is_frozen_with_its_probabilities(self, make):
+        state = make()
+        out = fock.apply_beam_splitter(state)
+        assert not np.shares_memory(out.vectors, state.vectors)
+        for array in (out.vectors, out.probabilities()):
+            assert not array.flags.writeable
+        assert out.probabilities() is out.probabilities()
+        np.testing.assert_array_equal(out.probabilities(), (np.abs(out.vectors) ** 2).sum(axis=0))
+        assert out.norm() == float(out.probabilities().sum())
+
     @pytest.mark.parametrize("amplitudes, message", [
         *(pytest.param(one_hot(shape), "amplitude shape", id=f"shape{i}")
           for i, shape in enumerate([(9, 3), (3, 3, 3, 3), (3, 3), (81,), (0, 9)])),
@@ -690,3 +723,146 @@ class TestRotationCache:
             fock.pair_unitary(*self.coefficients(thetas[0], fock.SYMMETRIC_I), 6)
             assert build.call_count == len(thetas) + 1
         assert len(fock._rotations) == fock._ROTATIONS_KEPT
+
+
+class TestOccupiedSectors:
+    """A scatter rotates only the range of sectors its state occupies, and
+    equals the product over all sectors bit for bit."""
+
+    ANGLES = (0.0, np.pi / 2, np.pi / 4, 0.3, -2.2)
+
+    @staticmethod
+    def states():
+        yield "fock", fock.make_fock([3, 2], 7)
+        yield "twin fock", fock.make_fock([4, 4], 8)
+        yield "vacuum", fock.make_fock([0, 0], 1)
+        for seed in range(3):
+            yield f"pure2-{seed}", fock.MultimodeState(
+                (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B)), 5,
+                TestDensityMatrix.random_pure(seed, 5))
+            yield f"pure3-{seed}", fock.MultimodeState(
+                (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B), ModeLabel(V, 1, Port.A)), 3,
+                TestDensityMatrix.random_pure(20 + seed, 3, n_modes=3))
+        # a pure state on the sectors 2..4 of 0..6 only
+        psi = TestDensityMatrix.random_pure(40, 6)
+        total = fock._occupations(7, 2).sum(axis=0)
+        psi[(total < 2) | (total > 4)] = 0.0
+        yield "sectors 2-4", fock.MultimodeState(
+            (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B)), 6, psi / np.linalg.norm(psi))
+        yield "coherent", fock.make_coherent_pair(0.9, -0.4j, 16)
+        yield "twin mixture", fock.make_twin_mode_mixture(np.diag([0.2, 0.3, 0.5]), 4)
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        yield "coherent mixture", fock.make_twin_mode_mixture(a @ a.conj().T / np.linalg.norm(a) ** 2, 6)
+
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_scatter_equals_the_all_sector_product(self, convention, angle):
+        for name, state in self.states():
+            got = fock.apply_beam_splitter(state, mixing_angle=angle, convention=convention)
+            with mock.patch.object(fock, "_contract_pair", oracles.contract_pair_all_sectors):
+                want = fock.apply_beam_splitter(state, mixing_angle=angle, convention=convention)
+            assert got.modes == want.modes, name
+            assert np.array_equal(got.vectors, want.vectors), name
+            assert got.truncation_leakage == want.truncation_leakage, name
+            assert fock.port_stats(got).tobytes() == fock.port_stats(want).tobytes(), name
+            assert fock.number_difference_stats(got) == fock.number_difference_stats(want), name
+            assert fock.coincidence_probability(got) == fock.coincidence_probability(want), name
+
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    def test_waveplate_equals_the_all_sector_product(self, convention):
+        state = fock.make_coherent_pair(0.7, 0.5j, 12, modes=((H, 0, Port.A), (V, 0, Port.A)))
+        for theta in (0.0, np.pi / 8, np.pi / 4, 1.3):
+            got = fock.apply_waveplate_polarizer(state, theta)
+            with mock.patch.object(fock, "_contract_pair", oracles.contract_pair_all_sectors):
+                want = fock.apply_waveplate_polarizer(state, theta)
+            assert np.array_equal(got.vectors, want.vectors), theta
+            assert fock.port_stats(got).tobytes() == fock.port_stats(want).tobytes(), theta
+
+    @pytest.mark.parametrize("n_a, n_b", [(3, 3), (5, 0), (0, 2), (2, 5)])
+    def test_a_fock_input_reads_only_its_own_sector(self, n_a, n_b):
+        # every other block is NaN, so the output stays finite only if it is never read
+        dim = n_a + n_b + 3
+        optic = fock.pair_unitary(*TestInvariants.coefficients(0.6, fock.SYMMETRIC_I), dim)
+        poisoned = np.full_like(optic[1], np.nan)
+        poisoned[n_a + n_b] = optic[1][n_a + n_b]
+        tensor = fock.make_fock([n_a, n_b], dim - 1).vectors.reshape(1, dim, dim)
+        got, weight = fock._contract_pair(tensor, 1, 2, optic[0], poisoned, optic[2])
+        want, want_weight = oracles.contract_pair_all_sectors(tensor, 1, 2, *optic)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, want)
+        assert weight == want_weight == 0.0
+
+
+class TestPortIndex:
+    """port_stats reads one index kept per (dim, port of each mode, ports)."""
+
+    @staticmethod
+    def random_state(seed, ports, cutoff):
+        rng = np.random.default_rng(seed)
+        modes = tuple(ModeLabel(H, tag, port) for tag, port in enumerate(ports))
+        size = (cutoff + 1) ** len(ports)
+        psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+        return fock.MultimodeState(modes, cutoff, psi / np.linalg.norm(psi))
+
+    @staticmethod
+    def assert_matches_oracle(state, port_c, port_d):
+        ports = [m.spatial_port for m in state.modes]
+        want = oracles.port_joint_by_occupation(
+            state.probabilities(), state.dim, ports, Port(port_c), Port(port_d))
+        got = fock.port_stats(state, port_c, port_d)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ports", [
+        (Port.C, Port.D, Port.C),
+        (Port.D, Port.C, Port.D),
+        (Port.D, Port.D, Port.C, Port.C),
+        (Port.C, Port.A, Port.D, Port.B),
+        (Port.A, Port.C, Port.B),
+        (Port.C, Port.C, Port.A),  # port d empty
+        (Port.A, Port.B, Port.A),  # both empty
+    ])
+    def test_joint_matches_the_occupation_sum(self, ports):
+        state = self.random_state(len(ports), ports, 2)
+        for port_c, port_d in ((Port.C, Port.D), (Port.D, Port.C), ("c", "d"), (Port.A, Port.C)):
+            self.assert_matches_oracle(state, port_c, port_d)
+
+    def test_layouts_of_one_dim_called_alternately(self):
+        layouts = [(Port.C, Port.D, Port.C), (Port.D, Port.C, Port.C), (Port.C, Port.C, Port.D),
+                   (Port.C, Port.D, Port.A, Port.D)]
+        states = [self.random_state(seed, ports, 3) for seed, ports in enumerate(layouts)]
+        for _ in range(2):
+            for state in states:
+                self.assert_matches_oracle(state, Port.C, Port.D)
+                self.assert_matches_oracle(state, Port.D, Port.C)
+
+
+class TestBenchmarkHooks:
+    """bench/tracing.py times the kernels by replacing the module globals
+    ``fock.pair_unitary`` and ``fock.port_stats``, and reads the dim as the
+    fifth positional argument of pair_unitary; the engine must call them
+    that way."""
+
+    def test_scatter_and_stats_call_the_kernels_through_module_globals(self, monkeypatch):
+        calls = []
+
+        def recorder(name, fn):
+            def record(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return fn(*args, **kwargs)
+            return record
+
+        monkeypatch.setattr(fock, "pair_unitary", recorder("pair_unitary", fock.pair_unitary))
+        monkeypatch.setattr(fock, "port_stats", recorder("port_stats", fock.port_stats))
+        out = fock.apply_beam_splitter(fock.make_fock([2, 2], 4))
+        assert [(name, len(args), kwargs) for name, args, kwargs in calls] == [
+            ("pair_unitary", 5, {})]
+        assert calls[0][1][4] == 5
+        stats = fock.number_difference_stats(out)
+        coincidence = fock.coincidence_probability(out)
+        joint = fock.joint_port_distribution(out)
+        assert [name for name, _, _ in calls[1:]] == ["port_stats"] * 3
+        assert all(args[0] is out for _, args, _ in calls[1:])
+        assert stats.variance == pytest.approx(12.0, rel=1e-12)
+        assert coincidence == pytest.approx(sum(p for (c, d), p in joint.items() if c and d))

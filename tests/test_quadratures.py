@@ -165,6 +165,11 @@ class TestCrossCheck:
         assert errors[0] >= errors[1] >= errors[2]
         assert errors[2] < 0.05
 
+    @pytest.mark.parametrize("alpha", [float("nan"), complex(1.0, float("nan")), float("inf")])
+    def test_non_finite_amplitude_rejected_by_name(self, alpha):
+        with pytest.raises(ValidationError, match="alpha_a must be finite"):
+            quad.cross_check_against_fock(alpha, cutoff=8)
+
     def test_excessive_leakage_rejected(self):
         with pytest.raises(TruncationError), pytest.warns():
             quad.cross_check_against_fock(2.0, cutoff=16)  # Poisson(4) tail above 1e-8
