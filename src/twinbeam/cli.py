@@ -68,6 +68,9 @@ _FIT = tracefit.FitConfig.standard()
 #: Largest ``limits --n-max``.
 MAX_N = 10
 
+#: Largest ``hom`` pair total n_a + n_b, which is its cutoff.
+MAX_HOM_PHOTONS = 60
+
 #: key -> (default, parser of the file's text value)
 DEFAULTS = {
     "trace_fit.fit_window_hz": (_FIT.fit_window_hz, _numbers(",", 2, "LOW,HIGH in Hz")),
@@ -115,6 +118,10 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_hom(args, config) -> int:
     # the pair never holds more than n_a + n_b photons, so no larger cutoff changes the answer
     cutoff = max(args.n_a + args.n_b, 1)
+    # a negative count is left to make_fock, which names it
+    if min(args.n_a, args.n_b) >= 0 and cutoff > MAX_HOM_PHOTONS:
+        raise ValidationError(
+            f"n_a + n_b = {cutoff} outside the documented range 0..{MAX_HOM_PHOTONS}")
     freq_b = 1 if args.distinguishable else 0
     modes = (
         ModeLabel(Polarization.H, 0, Port.A),

@@ -139,7 +139,7 @@ class ScatterOutcome:
         return float(np.sqrt(max(self.variance, 0.0)))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _occupations(dim: int, n_modes: int) -> np.ndarray:
     occ = np.indices((dim,) * n_modes).reshape(n_modes, dim**n_modes)
     occ.setflags(write=False)
@@ -273,8 +273,10 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
 # U|k, m> = (alpha c+ + beta d+) U|k-1, m> / sqrt(k) cancels like the
 # alternating binomial sums (unitarity off by 6e-9 at cutoff 60, 79 at 120).
 # Sectors with n above the cutoff cannot be represented exactly under the
-# truncation; their real blocks are left as the identity and callers must
-# keep state support out of them.
+# truncation; their real blocks are left as the identity, and a scatter reads
+# the pair's probability there from its input's kept probabilities before
+# any work: the pairs of one scatter are disjoint, so no pair's rotation
+# changes another pair's photon-number marginal.
 #
 # Every unitary M is phase shifters around a real rotation (Reck et al., PRL
 # 73, 58 (1994)): M = diag(1, p) R diag(q1, q2) with R = [[c, -s], [s, c]],
@@ -384,36 +386,23 @@ def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat pair index k*dim + n-k and padded-stack slot n*dim + k of every
-    |k, n-k> in the sectors n <= dim - 1, and the (dim, dim) mask of the
-    occupations (n_a, n_b) whose total exceeds dim - 1."""
+    |k, n-k> in the sectors n <= dim - 1."""
     n, k = np.tril_indices(dim)
     pair, slot = k * dim + (n - k), n * dim + k
-    overflow = np.add.outer(np.arange(dim), np.arange(dim)) >= dim
-    for index in (pair, slot, overflow):
+    for index in (pair, slot):
         index.setflags(write=False)
-    return pair, slot, overflow
-
-
-@lru_cache(maxsize=32)
-def _overflow_mask(dim: int, ndim: int, ax1: int, ax2: int) -> np.ndarray:
-    """The overflow mask of ``_sector_index`` spread over axes ax1, ax2 of a
-    (K, dim, ..., dim) tensor with ``ndim`` axes, the ensemble's excluded.
-    The mask is symmetric, so ax1 > ax2 reads it alike."""
-    shape = [1] * (ndim - 1)
-    shape[ax1 - 1] = shape[ax2 - 1] = dim
-    return np.broadcast_to(_sector_index(dim)[2].reshape(shape), (dim,) * (ndim - 1))
+    return pair, slot
 
 
 def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
-                   blocks: np.ndarray, phase_out: np.ndarray) -> tuple[np.ndarray, float]:
+                   blocks: np.ndarray, phase_out: np.ndarray) -> np.ndarray:
     """Apply the optic ``pair_unitary`` returns to axes ax1, ax2, every other
-    axis (the ensemble's among them) riding along; return the image and the
-    weight on occupations whose pair total exceeds the cutoff.
+    axis (the ensemble's among them) riding along, and return the image.
 
-    That weight cannot scatter exactly under the truncation; above the
-    leakage threshold it raises CapacityError before any work is done. Only
+    Amplitudes whose pair total exceeds the cutoff pass unchanged; the
+    caller has refused any weight there above the leakage threshold. Only
     the real blocks act sector by sector, on a float64 view of the sector
     stack, and only on the range of sectors that holds a non-zero amplitude:
     a Fock input occupies one sector, a coherent pair all of them. The
@@ -421,14 +410,7 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
     on the b axis of the output, q1^j q2^k on both of its axes.
     """
     dim = tensor.shape[ax1]
-    pair, slot, _ = _sector_index(dim)
-    outside = tensor[:, _overflow_mask(dim, tensor.ndim, ax1, ax2)]
-    weight = float(np.sum(np.abs(outside) ** 2))
-    if weight > LEAKAGE_THRESHOLD:
-        raise CapacityError(
-            f"interfering pair carries probability {weight:.3g} above cutoff "
-            f"{dim - 1}; rebuild the state with a larger cutoff"
-        )
+    pair, slot = _sector_index(dim)
     moved = np.moveaxis(tensor, (ax1, ax2), (0, 1))
     stack = np.zeros((dim * dim, tensor.size // dim**2), dtype=np.complex128)
     # the amplitude at pair index k*dim + m has m photons in b
@@ -449,7 +431,7 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
     out = np.multiply(moved, phase_in.reshape(dim, *spread), order="C")
     out.reshape(dim * dim, -1)[pair] = stack
     out *= phase_out.reshape(dim, dim, *spread)
-    return np.moveaxis(out, (0, 1), (ax1, ax2)), weight
+    return np.moveaxis(out, (0, 1), (ax1, ax2))
 
 
 # ---------------------------------------------------------------------------
@@ -470,13 +452,27 @@ def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeStat
     """Scatter each (i, j) label pair of ``pairs`` through the two-mode optic
     with mode matrix ``coefficients``, then relabel every mode by ``moved``.
 
-    A label absent from the state enters as vacuum, appended in pair order.
-    The optic's phases and real blocks are built once and shared by all
-    pairs; the vectors go through as one (K, dim, ..., dim) tensor, axis 0
-    the ensemble. The weight each pair holds above the cutoff is added to
-    the state's truncation leakage.
+    The probability each pair holds above the cutoff is read from the
+    state's kept probabilities before any work: above the leakage threshold
+    it raises CapacityError, otherwise it is added to the truncation
+    leakage. A label absent from the state enters as vacuum, appended in
+    pair order; its pair cannot overflow. The optic's phases and real
+    blocks are built once and shared by all pairs; the vectors go through
+    as one (K, dim, ..., dim) tensor, axis 0 the ensemble.
     """
     modes, dim = state.modes, state.dim
+    occ = _occupations(dim, state.n_modes)
+    leakage = state.truncation_leakage
+    for label_i, label_j in pairs:
+        if label_i in modes and label_j in modes:
+            i, j = modes.index(label_i), modes.index(label_j)
+            weight = float(state.probabilities()[occ[i] + occ[j] >= dim].sum())
+            if weight > LEAKAGE_THRESHOLD:
+                raise CapacityError(
+                    f"interfering pair carries probability {weight:.3g} above cutoff "
+                    f"{dim - 1}; rebuild the state with a larger cutoff"
+                )
+            leakage += weight
     tensor = state.vectors.reshape((-1,) + (dim,) * state.n_modes)
     for label in (label for pair in pairs for label in pair):
         if label not in modes:
@@ -484,11 +480,9 @@ def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeStat
             padded[..., 0] = tensor
             tensor, modes = padded, modes + (label,)
     optic = pair_unitary(*coefficients, dim)
-    leakage = state.truncation_leakage
     for label_i, label_j in pairs:
         i, j = modes.index(label_i), modes.index(label_j)
-        tensor, weight = _contract_pair(tensor, i + 1, j + 1, *optic)
-        leakage += weight
+        tensor = _contract_pair(tensor, i + 1, j + 1, *optic)
     return MultimodeState._adopt(tuple(map(moved, modes)), state.cutoff,
                                  tensor.reshape(len(tensor), -1), leakage)
 

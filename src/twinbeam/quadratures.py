@@ -123,45 +123,6 @@ def number_difference_std(state: QuadratureState, theta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Random valid covariances: symplectic transformations of vacuum, optionally
-# with added classical noise. Validity holds by construction.
-# ---------------------------------------------------------------------------
-
-
-def _random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def _symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
-    e, f = u.real, u.imag
-    block = np.block([[e, -f], [f, e]])  # ordering (X_a, X_b, P_a, P_b)
-    perm = np.array([0, 2, 1, 3])
-    return block[np.ix_(perm, perm)]
-
-
-def _random_symplectic(rng: np.random.Generator, squeeze_max: float = 1.5) -> np.ndarray:
-    r = rng.uniform(-squeeze_max, squeeze_max, size=2)
-    squeezer = np.diag([np.exp(-r[0]), np.exp(r[0]), np.exp(-r[1]), np.exp(r[1])])
-    left = _symplectic_from_unitary(_random_unitary_2x2(rng))
-    right = _symplectic_from_unitary(_random_unitary_2x2(rng))
-    return left @ squeezer @ right
-
-
-def random_valid_covariance(
-    rng: np.random.Generator, squeeze_max: float = 1.5, noise_scale: float = 0.0
-) -> np.ndarray:
-    """Random bona fide quantum covariance (symplectic image of vacuum)."""
-    s = _random_symplectic(rng, squeeze_max)
-    cov = 0.5 * s @ s.T
-    if noise_scale > 0.0:
-        g = rng.normal(scale=noise_scale, size=(4, 4))
-        cov = cov + g @ g.T  # classical noise keeps validity
-    return cov
-
-
-# ---------------------------------------------------------------------------
 # Cross-check against the exact Fock engine
 # ---------------------------------------------------------------------------
 

@@ -14,7 +14,9 @@ product plus an excess xi (1 - xi) / (u^2 (1 + u^2)) that vanishes for a
 lossless cavity.
 
 The u = 0 pole of the phase spectrum is signaled explicitly; the
-ultra-low-frequency regime is outside this model.
+ultra-low-frequency regime is outside this model. Past the float range of
+u^2 each spectrum returns its limit, or raises DomainError where its true
+value is too large for a float.
 """
 
 from __future__ import annotations
@@ -280,26 +282,50 @@ def _spell(x, spec, frame, keep):
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(what: str, direct, safe, u, xi):
+    """``direct(u, xi)``, the closed form, where it is finite; elsewhere
+    ``safe(u, xi)``, a form that squares no u and so overflows only where
+    the true value does, with DomainError naming the first such u.
+
+    direct loses its value only through u^2: inf / inf where it overflows,
+    0 / 0 or x / 0 where it underflows, and x / u^2 overflowing next to a
+    subnormal u^2.
+    """
+    with np.errstate(all="ignore"):
+        out = direct(u, xi)
+        redo = ~np.isfinite(out)
+        if redo.any():
+            out = np.where(redo, safe(u, xi), out)
+    if np.isinf(out).any():
+        u_bad = float(np.broadcast_to(u, out.shape)[np.isinf(out)][0])
+        raise DomainError(f"{what} exceeds the float range at u = {u_bad!r}")
+    return float(out) if out.ndim == 0 else out
+
+
 def intensity_diff_spectrum(u, xi: float):
     """Intensity-difference noise 1 - xi / (1 + u^2), squeezed below shot noise.
 
     Evaluated as ((1 - xi) + u^2) / (1 + u^2), which does not cancel near
-    xi = 1 at small u.
+    xi = 1 at small u, and as 1 - xi / (1 + u^2) where u^2 overflows.
     """
-    xi = _check_xi(xi)
-    u = np.asarray(u, dtype=float)
-    out = ((1.0 - xi) + u**2) / (1.0 + u**2)
-    return float(out) if out.ndim == 0 else out
+    return _evaluate("intensity-difference spectrum",
+                     lambda u, xi: ((1.0 - xi) + u**2) / (1.0 + u**2),
+                     lambda u, xi: 1.0 - xi / (1.0 + u**2),
+                     np.asarray(u, dtype=float), _check_xi(xi))
 
 
 def phase_diff_spectrum(u, xi: float):
-    """Phase-difference noise 1 + xi / u^2, antisqueezed; pole at u = 0."""
+    """Phase-difference noise 1 + xi / u^2, antisqueezed; pole at u = 0.
+
+    Evaluated as 1 + xi / u / u where u^2 underflows; DomainError where the
+    value exceeds the float range.
+    """
     xi = _check_xi(xi)
     u = np.asarray(u, dtype=float)
     if (u == 0.0).any():
         raise DomainError("phase-difference spectrum diverges at u = 0")
-    out = 1.0 + xi / u**2
-    return float(out) if out.ndim == 0 else out
+    return _evaluate("phase-difference spectrum", lambda u, xi: 1.0 + xi / u**2,
+                     lambda u, xi: 1.0 + xi / u / u, u, xi)
 
 
 def distinguishable_phase_spectrum(u):
@@ -320,13 +346,16 @@ def uncertainty_product(u, xi: float):
 
 
 def uncertainty_excess(u, xi: float):
-    """Closed form of uncertainty_product - 1."""
+    """Closed form of uncertainty_product - 1: 0 where u^2 (1 + u^2)
+    overflows, xi (1 - xi) / u / u / (1 + u^2) where u^2 underflows, and
+    DomainError where the value exceeds the float range."""
     xi = _check_xi(xi)
     u = np.asarray(u, dtype=float)
     if np.any(u == 0.0):
         raise DomainError("uncertainty product diverges at u = 0")
-    out = xi * (1.0 - xi) / (u**2 * (1.0 + u**2))
-    return float(out) if out.ndim == 0 else out
+    return _evaluate("uncertainty product",
+                     lambda u, xi: xi * (1.0 - xi) / (u**2 * (1.0 + u**2)),
+                     lambda u, xi: xi * (1.0 - xi) / u / u / (1.0 + u**2), u, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +383,9 @@ def physical_frequency_curve(params: OpoParams, nu_hz, which: str = "intensity")
     if which not in _MODELS:
         raise ValidationError(f"which must be one of {sorted(_MODELS)}, got {which!r}")
     nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
-    u = nu / params.delta_hz
+    # a u past the float range is inf, where each model takes its limit
+    with np.errstate(over="ignore"):
+        u = nu / params.delta_hz
     return SpectrumCurve(nu, np.asarray(_MODELS[which](u, params.xi), dtype=float), RELATIVE)
 
 

@@ -210,10 +210,6 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
     )
 
 
-def save_trace(trace: SpectrumTrace, path) -> None:
-    Path(path).write_text(trace_to_csv(trace), encoding="utf-8")
-
-
 def load_trace(source) -> SpectrumTrace:
     """Parse a trace from a path, byte stream, or text.
 

@@ -126,17 +126,12 @@ def contract_pair_all_sectors(tensor, ax1, ax2, phase_in, blocks, phase_out):
     ax1, ax2 of a (K, dim, ..., dim) tensor with every one of the dim real
     sector blocks multiplied, occupied or not, as one stacked product.
 
-    Returns the image and the weight on pair totals above the cutoff. The
-    gather, the products and the sums are the same floating-point operations
-    in the same order as a rotation restricted to the occupied sectors, so
-    the two must agree bit for bit (an empty sector may hold -0.0 here).
+    The gather, the products and the sums are the same floating-point
+    operations in the same order as a rotation restricted to the occupied
+    sectors, so the two must agree bit for bit (an empty sector may hold
+    -0.0 here).
     """
     dim = tensor.shape[ax1]
-    total = np.add.outer(np.arange(dim), np.arange(dim))
-    shape = [1] * (tensor.ndim - 1)
-    shape[ax1 - 1] = shape[ax2 - 1] = dim
-    above = np.broadcast_to((total >= dim).reshape(shape), tensor.shape[1:])
-    weight = float(np.sum(np.abs(tensor[:, above]) ** 2))
     moved = np.moveaxis(tensor, (ax1, ax2), (0, 1))
     rest = moved.shape[2:]
     # sector n holds |k, n-k> in row k, its amplitude times p^(n-k)
@@ -152,7 +147,19 @@ def contract_pair_all_sectors(tensor, ax1, ax2, phase_in, blocks, phase_out):
         k = np.arange(n + 1)
         out[k, n - k] = rotated[n, k]
     out *= phase_out.reshape(dim, dim, *spread)
-    return np.moveaxis(out, (0, 1), (ax1, ax2)), weight
+    return np.moveaxis(out, (0, 1), (ax1, ax2))
+
+
+def pair_overflow_weights(probabilities, dim: int, n_modes: int, pairs) -> list[float]:
+    """For each mode pair (i, j) of ``pairs``, the probability on occupations
+    whose total in modes i and j exceeds dim - 1, by a walk over the
+    occupation basis in C order and an exactly rounded sum."""
+    terms = [[] for _ in pairs]
+    for flat, occupation in enumerate(np.ndindex(*(dim,) * n_modes)):
+        for (i, j), kept in zip(pairs, terms):
+            if occupation[i] + occupation[j] >= dim:
+                kept.append(probabilities[flat])
+    return [math.fsum(kept) for kept in terms]
 
 
 def port_joint_by_occupation(probabilities, dim: int, ports, port_c, port_d) -> np.ndarray:
@@ -168,6 +175,41 @@ def port_joint_by_occupation(probabilities, dim: int, ports, port_c, port_d) -> 
         n_d = sum(n for n, p in zip(occupation, ports) if p == port_d)
         joint[n_c, n_d] += probabilities[flat]
     return joint
+
+
+def _random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
+    e, f = u.real, u.imag
+    block = np.block([[e, -f], [f, e]])  # ordering (X_a, X_b, P_a, P_b)
+    perm = np.array([0, 2, 1, 3])
+    return block[np.ix_(perm, perm)]
+
+
+def _random_symplectic(rng: np.random.Generator, squeeze_max: float = 1.5) -> np.ndarray:
+    r = rng.uniform(-squeeze_max, squeeze_max, size=2)
+    squeezer = np.diag([np.exp(-r[0]), np.exp(r[0]), np.exp(-r[1]), np.exp(r[1])])
+    left = _symplectic_from_unitary(_random_unitary_2x2(rng))
+    right = _symplectic_from_unitary(_random_unitary_2x2(rng))
+    return left @ squeezer @ right
+
+
+def random_valid_covariance(
+    rng: np.random.Generator, squeeze_max: float = 1.5, noise_scale: float = 0.0
+) -> np.ndarray:
+    """Random bona fide quantum covariance of (X_a, P_a, X_b, P_b): a
+    symplectic image of vacuum, optionally with added classical noise, so
+    valid by construction."""
+    s = _random_symplectic(rng, squeeze_max)
+    cov = 0.5 * s @ s.T
+    if noise_scale > 0.0:
+        g = rng.normal(scale=noise_scale, size=(4, 4))
+        cov = cov + g @ g.T  # classical noise keeps validity
+    return cov
 
 
 def poisson_tail(mean: float, cutoff: int) -> float:

@@ -216,7 +216,7 @@ def test_criterion_8_heisenberg_inequality_suite():
     rng = np.random.default_rng(42)
     worst = np.inf
     for index in range(1000):
-        cov = quadratures.random_valid_covariance(
+        cov = oracles.random_valid_covariance(
             rng, squeeze_max=1.5, noise_scale=0.3 if index % 3 == 0 else 0.0
         )
         stats = quadratures.quadrature_difference_stds(

@@ -66,6 +66,21 @@ class TestHom:
     def test_negative_photon_number_is_named(self, capsys):
         assert run("hom", "--n-a", "3", "--n-b", "-1") == cli.EXIT_VALIDATION
         assert "negative occupation -1" in capsys.readouterr().err
+        assert run("hom", "--n-a", "-1", "--n-b", "100") == cli.EXIT_VALIDATION
+        assert "negative occupation -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_a, n_b", [(31, 30), (1000, 1000)])
+    def test_pair_total_above_the_largest_cutoff_is_refused(self, n_a, n_b, capsys):
+        # refused before make_fock: 1000 + 1000 would ask for a 64 GB rotation stack
+        assert run("hom", "--n-a", str(n_a), "--n-b", str(n_b)) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"n_a + n_b = {n_a + n_b} outside the documented range 0..60" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_the_largest_pair_total_runs(self, capsys):
+        assert run("hom", "--n-a", "30", "--n-b", "30") == 0
+        assert json.loads(capsys.readouterr().out)["distribution"]["0"] > 0.0
 
 
 class TestLimits:
@@ -155,7 +170,7 @@ class TestFitCommand:
         params = OpoParams.from_correlation(0.72, 2.98e6, -79.0)
         trace = tracefit.synth_trace(params, "intensity", (0.5e6, 10e6, 5e3), 0.1, seed=4)
         path = tmp_path / "trace.csv"
-        tracefit.save_trace(trace, path)
+        path.write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         return path
 
     def test_fit_writes_reports_and_prediction(self, tmp_path, trace_path, capsys):
@@ -185,7 +200,7 @@ class TestFitCommand:
             np.full(102, -94.5),
         )
         floor_path = tmp_path / "floor.csv"
-        tracefit.save_trace(floor, floor_path)
+        floor_path.write_text(tracefit.trace_to_csv(floor), encoding="utf-8")
         code = run(
             "fit", "--trace", str(trace_path), "--floor", str(floor_path),
             "--output-prefix", str(tmp_path / "run2"),
@@ -197,8 +212,8 @@ class TestFitCommand:
         params = OpoParams.from_correlation(0.72, 3e6, -80.0)
         trace = tracefit.synth_trace(params, "intensity", (1e6, 10e6, 30e3), 0.1)
         floor = tracefit.synth_trace(params, "flat", (20e6, 30e6, 30e3))
-        tracefit.save_trace(trace, tmp_path / "trace.csv")
-        tracefit.save_trace(floor, tmp_path / "floor.csv")
+        (tmp_path / "trace.csv").write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
+        (tmp_path / "floor.csv").write_text(tracefit.trace_to_csv(floor), encoding="utf-8")
         code = run("fit", "--trace", str(tmp_path / "trace.csv"),
                    "--floor", str(tmp_path / "floor.csv"),
                    "--output-prefix", str(tmp_path / "out" / "run"))
@@ -293,7 +308,8 @@ class TestFitCommand:
         powers = np.full(nu.size, -80.0)
         powers[:3] = 4000.0
         trace_path = tmp_path / "spike.csv"
-        tracefit.save_trace(tracefit.SpectrumTrace(nu, powers), trace_path)
+        trace_path.write_text(tracefit.trace_to_csv(tracefit.SpectrumTrace(nu, powers)),
+                              encoding="utf-8")
         with pytest.warns(UserWarning, match="pinned at its boundary"):
             code = run("fit", "--trace", str(trace_path), "--f-min", "0",
                        "--output-prefix", str(tmp_path / "o"))
@@ -317,7 +333,8 @@ class TestFitCommand:
         powers = np.full(nu.size, -80.0)
         powers[:3] = 4000.0
         trace_path = tmp_path / "spike.csv"
-        tracefit.save_trace(tracefit.SpectrumTrace(nu, powers), trace_path)
+        trace_path.write_text(tracefit.trace_to_csv(tracefit.SpectrumTrace(nu, powers)),
+                              encoding="utf-8")
         code = run("fit", "--trace", str(trace_path), "--f-min", "0", "--weight-space",
                    "linear", "--output-prefix", str(tmp_path / "linear"))
         assert code == cli.EXIT_VALIDATION
@@ -457,7 +474,7 @@ def test_non_finite_float_flag_maps_to_an_exit_code(argv, value, tmp_path, capsy
     if argv[0] == "fit":
         trace = tracefit.synth_trace(OpoParams.from_correlation(0.72, 3e6, -80.0), "intensity",
                                      tracefit.DEFAULT_GRID_HZ, 0.1, seed=3)
-        tracefit.save_trace(trace, tmp_path / "trace.csv")
+        (tmp_path / "trace.csv").write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         prefix = tmp_path / "run"
         argv[1:1] = ["--trace", str(tmp_path / "trace.csv"), "--output-prefix", str(prefix)]
         outputs = [Path(f"{prefix}{suffix}") for suffix in
@@ -475,6 +492,41 @@ def test_non_finite_float_flag_maps_to_an_exit_code(argv, value, tmp_path, capsy
         cells = [cell.strip(' "').lower() for line in text.splitlines()
                  if not line.startswith("#") for cell in re.split(r"[,=:\[\]{}]", line)]
         assert not {"nan", "inf", "-inf", "infinity", "-infinity"} & set(cells)
+
+
+class TestFloatRange:
+    """u^2 past the float range: each command writes the spectra's limits,
+    or exits 4 naming u where a value is too large for a float."""
+
+    @pytest.mark.parametrize("argv", [
+        ("--xi", "0.5", "--delta-hz", "1e-300", "--which", "intensity"),
+        ("--t", "1e-320", "--a", "0", "--d", "1e9"),
+    ])
+    def test_spectra_far_above_the_linewidth_are_at_shot_noise(self, argv, capsys):
+        assert run("spectra", "--s0-dbm", "-80", *argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 318
+        assert {cell for line in lines[1:] for cell in line.split(",")[1:]} == {"-80"}
+
+    def test_uncertainty_without_correlation_is_unity(self, capsys):
+        assert run("uncertainty", "--xi", "0", "--u-grid", "1e-170") == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1e-170,1,1,1,0"
+
+    @pytest.mark.parametrize("xi, u", [("1", "1e-170"), ("0.5", "1e-160")])
+    def test_uncertainty_past_the_float_range_is_refused(self, xi, u, capsys):
+        assert run("uncertainty", "--xi", xi, "--u-grid", u) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: phase-difference spectrum exceeds the float range at u = {u}\n"
+
+    def test_phase_prediction_past_the_float_range_is_refused(self, tmp_path, capsys):
+        trace = tracefit.synth_trace(OpoParams.from_correlation(0.72, 3e6, -80.0), "intensity",
+                                     tracefit.DEFAULT_GRID_HZ, 0.1, seed=3)
+        (tmp_path / "trace.csv").write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
+        assert run("fit", "--trace", str(tmp_path / "trace.csv"), "--output-prefix",
+                   str(tmp_path / "run"), "--phase-grid", "1e-160,1e-159,1e-160") == 4
+        assert "phase-difference spectrum exceeds the float range" in capsys.readouterr().err
+        assert not (tmp_path / "run.phase_prediction.csv").exists()
 
 
 class TestUncertainty:
@@ -607,7 +659,8 @@ class TestConfig:
     def trace_path(self, tmp_path):
         params = OpoParams.from_correlation(0.72, 2.98e6, -79.0)
         path = tmp_path / "t.csv"
-        tracefit.save_trace(tracefit.synth_trace(params, "intensity", noise_db=0.05), path)
+        trace = tracefit.synth_trace(params, "intensity", noise_db=0.05)
+        path.write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         return path
 
     def write(self, tmp_path, text):
@@ -711,7 +764,7 @@ class TestConfig:
         params = OpoParams.from_correlation(0.72, 2.98e6, -79.0)
         trace = tracefit.synth_trace(params, "intensity", (0.5e6, 10e6, 30e3), 0.0)
         path = tmp_path / "t.csv"
-        tracefit.save_trace(trace, path)
+        path.write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         bad = cli.main(["--config", str(config), "fit", "--trace", str(path),
                         "--output-prefix", str(tmp_path / "a")])
         assert bad == cli.EXIT_VALIDATION

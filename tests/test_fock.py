@@ -764,7 +764,6 @@ class TestOccupiedSectors:
                 want = fock.apply_beam_splitter(state, mixing_angle=angle, convention=convention)
             assert got.modes == want.modes, name
             assert np.array_equal(got.vectors, want.vectors), name
-            assert got.truncation_leakage == want.truncation_leakage, name
             assert fock.port_stats(got).tobytes() == fock.port_stats(want).tobytes(), name
             assert fock.number_difference_stats(got) == fock.number_difference_stats(want), name
             assert fock.coincidence_probability(got) == fock.coincidence_probability(want), name
@@ -787,11 +786,71 @@ class TestOccupiedSectors:
         poisoned = np.full_like(optic[1], np.nan)
         poisoned[n_a + n_b] = optic[1][n_a + n_b]
         tensor = fock.make_fock([n_a, n_b], dim - 1).vectors.reshape(1, dim, dim)
-        got, weight = fock._contract_pair(tensor, 1, 2, optic[0], poisoned, optic[2])
-        want, want_weight = oracles.contract_pair_all_sectors(tensor, 1, 2, *optic)
+        got = fock._contract_pair(tensor, 1, 2, optic[0], poisoned, optic[2])
+        want = oracles.contract_pair_all_sectors(tensor, 1, 2, *optic)
         assert np.isfinite(got).all()
         assert np.array_equal(got, want)
-        assert weight == want_weight == 0.0
+
+
+class TestPairOverflow:
+    """A scatter reads each pair's probability above the cutoff from its
+    input before any work: it adds it to the leakage, or refuses it."""
+
+    @staticmethod
+    def coherent_pairs(modes, amplitudes, cutoff):
+        """The product of coherent pairs (alpha, beta) on consecutive label
+        pairs of ``modes``, with the pairs' leakages combined."""
+        vector, kept = np.ones(1, dtype=complex), 1.0
+        for alpha, beta in amplitudes:
+            pair = fock.make_coherent_pair(alpha, beta, cutoff)
+            vector = np.multiply.outer(vector, pair.amplitudes).ravel()
+            kept *= 1.0 - pair.truncation_leakage
+        return fock.MultimodeState(modes, cutoff, vector, truncation_leakage=1.0 - kept)
+
+    @staticmethod
+    def assert_leakage_matches_the_oracle(state, out, pairs):
+        probabilities = (np.abs(state.vectors) ** 2).sum(axis=0)
+        weights = oracles.pair_overflow_weights(probabilities, state.dim, state.n_modes, pairs)
+        assert all(1e-12 < w < fock.LEAKAGE_THRESHOLD for w in weights)
+        assert out.truncation_leakage == pytest.approx(
+            state.truncation_leakage + sum(weights), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    @pytest.mark.parametrize("angle", [fock.BALANCED_ANGLE, 0.3, -2.2])
+    def test_one_pair(self, convention, angle):
+        state = self.coherent_pairs(
+            (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B)), [(0.7, 0.6j)], 10)
+        out = fock.apply_beam_splitter(state, mixing_angle=angle, convention=convention)
+        self.assert_leakage_matches_the_oracle(state, out, [(0, 1)])
+
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    @pytest.mark.parametrize("angle", [fock.BALANCED_ANGLE, 0.3, -2.2])
+    def test_two_pairs_on_two_tags(self, convention, angle):
+        modes = (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B),
+                 ModeLabel(H, 1, Port.A), ModeLabel(H, 1, Port.B))
+        state = self.coherent_pairs(modes, [(0.7, 0.6j), (-0.5, 0.8)], 10)
+        out = fock.apply_beam_splitter(state, mixing_angle=angle, convention=convention)
+        self.assert_leakage_matches_the_oracle(state, out, [(0, 1), (2, 3)])
+
+    @pytest.mark.parametrize("theta", [np.pi / 8, 1.3])
+    def test_waveplate_over_two_tags(self, theta):
+        modes = (ModeLabel(H, 0, Port.A), ModeLabel(V, 0, Port.A),
+                 ModeLabel(H, 1, Port.A), ModeLabel(V, 1, Port.A))
+        state = self.coherent_pairs(modes, [(0.6j, 0.7), (0.8, -0.5)], 10)
+        out = fock.apply_waveplate_polarizer(state, theta)
+        self.assert_leakage_matches_the_oracle(state, out, [(0, 1), (2, 3)])
+
+    def test_a_vacuum_partner_adds_no_leakage(self):
+        state = fock.make_coherent_pair(0.7, 0.6j, 10, modes=((H, 0, Port.A), (V, 0, Port.A)))
+        out = fock.apply_beam_splitter(state)
+        assert out.truncation_leakage == state.truncation_leakage
+
+    def test_a_refused_scatter_builds_no_rotation(self, monkeypatch):
+        monkeypatch.setattr(fock, "_rotations", {})
+        state = fock.make_fock([4, 4], cutoff=6)
+        with pytest.raises(CapacityError, match="probability 1 above cutoff 6"):
+            fock.apply_beam_splitter(state)
+        assert fock._rotations == {}
 
 
 class TestPortIndex:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from twinbeam import fock, spectra
 from twinbeam import quadratures as quad
 from twinbeam.modes import ModeLabel, Polarization, Port
@@ -45,7 +46,7 @@ class TestCovarianceValidity:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_random_symplectic_covariances_valid(self, seed):
         rng = np.random.default_rng(seed)
-        cov = quad.random_valid_covariance(rng, noise_scale=0.2 if seed % 2 else 0.0)
+        cov = oracles.random_valid_covariance(rng, noise_scale=0.2 if seed % 2 else 0.0)
         quad.validate_covariance(cov)
 
 
@@ -78,7 +79,7 @@ class TestDifferenceStds:
     def test_heisenberg_property_seeded_sweep(self):
         rng = np.random.default_rng(2024)
         for _ in range(300):
-            cov = quad.random_valid_covariance(rng, noise_scale=0.3 * rng.random())
+            cov = oracles.random_valid_covariance(rng, noise_scale=0.3 * rng.random())
             stats = quad.quadrature_difference_stds(quad.QuadratureState(1, 1, cov))
             assert stats.heisenberg_product >= 1.0 - 1e-9
 
@@ -105,7 +106,7 @@ class TestNumberDifferenceStd:
 
     def test_quarter_angle_equals_zero_angle(self):
         rng = np.random.default_rng(9)
-        cov = quad.random_valid_covariance(rng)
+        cov = oracles.random_valid_covariance(rng)
         state = quad.QuadratureState(1.3, 1.3, cov)
         assert quad.number_difference_std(state, np.pi / 4) == pytest.approx(
             quad.number_difference_std(state, 0.0), rel=1e-12
@@ -116,7 +117,7 @@ class TestNumberDifferenceStd:
     def test_swap_property(self, seed):
         # exchanging the X and P blocks swaps the roles of the two angles
         rng = np.random.default_rng(seed)
-        cov = quad.random_valid_covariance(rng)
+        cov = oracles.random_valid_covariance(rng)
         perm = np.array([1, 0, 3, 2])
         swapped = cov[np.ix_(perm, perm)]
         state = quad.QuadratureState(1.0, 1.0, cov)

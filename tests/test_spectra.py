@@ -1,6 +1,9 @@
 """Noise-spectrum model tests: anchor values, identities, monotonicity, units."""
 
 import math
+import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +126,65 @@ class TestUncertaintyProduct:
     def test_zero_correlation_is_unity(self):
         u = np.linspace(0.1, 5, 20)
         np.testing.assert_allclose(spectra.uncertainty_product(u, 0.0), 1.0, atol=1e-15)
+
+
+class TestFloatRange:
+    """Where u^2 overflows or underflows each spectrum returns its true value
+    rounded, or raises DomainError where that exceeds the float range; a
+    value the closed form computes finite and without overflow is kept bit
+    for bit."""
+
+    U = [sign * 10.0**k for k in range(-320, 309) for sign in (1.0, -1.0)]
+    # name -> (function, closed form, exact value on Fractions)
+    MODELS = {
+        "intensity": (spectra.intensity_diff_spectrum,
+                      lambda u, xi: ((1.0 - xi) + u**2) / (1.0 + u**2),
+                      lambda u, xi: ((1 - xi) + u * u) / (1 + u * u)),
+        "phase": (spectra.phase_diff_spectrum,
+                  lambda u, xi: 1.0 + xi / u**2,
+                  lambda u, xi: 1 + xi / (u * u)),
+        "excess": (spectra.uncertainty_excess,
+                   lambda u, xi: xi * (1.0 - xi) / (u**2 * (1.0 + u**2)),
+                   lambda u, xi: xi * (1 - xi) / (u * u * (1 + u * u))),
+    }
+
+    @pytest.mark.parametrize("xi", [0.0, 1e-323, 0.5, 1.0])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_every_decade_of_u(self, name, xi):
+        function, closed_form, exact_form = self.MODELS[name]
+        for u in self.U:
+            exact = exact_form(Fraction(u), Fraction(xi))
+            if exact > sys.float_info.max:
+                with pytest.raises(DomainError, match=re.escape(f"at u = {u!r}")):
+                    function(u, xi)
+                continue
+            got = function(u, xi)
+            assert isinstance(got, float)
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    direct = closed_form(np.float64(u), xi)
+            except FloatingPointError:
+                assert got == pytest.approx(float(exact), rel=1e-15, abs=1e-300), u
+                continue
+            assert got == direct, u
+            if u * u >= sys.float_info.min:  # a subnormal u^2 keeps only a few digits
+                assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-300), u
+
+    def test_arrays_take_the_limits_elementwise(self):
+        u = np.array(self.U)
+        np.testing.assert_array_equal(spectra.intensity_diff_spectrum(u, 0.5),
+                                      [spectra.intensity_diff_spectrum(x, 0.5) for x in self.U])
+        for function in (spectra.phase_diff_spectrum, spectra.uncertainty_product):
+            np.testing.assert_array_equal(function(u, 0.0), 1.0)
+        with pytest.raises(DomainError, match="phase-difference spectrum exceeds the float "
+                                              "range at u = 1e-160"):
+            spectra.phase_diff_spectrum(np.array([2.0, 1e-160, 1e-170]), 0.5)
+
+    def test_a_frequency_past_the_float_range_is_at_shot_noise(self):
+        params = spectra.OpoParams(1e-320, 0.0, 1e9, -80.0)
+        for which in ("intensity", "phase"):
+            curve = spectra.physical_frequency_curve(params, [1e5, 1e7], which)
+            np.testing.assert_array_equal(curve.values, 1.0)
 
 
 class TestOpoParams:
