@@ -122,14 +122,11 @@ def cmd_hom(args, config) -> int:
     if min(args.n_a, args.n_b) >= 0 and cutoff > MAX_HOM_PHOTONS:
         raise ValidationError(
             f"n_a + n_b = {cutoff} outside the documented range 0..{MAX_HOM_PHOTONS}")
-    freq_b = 1 if args.distinguishable else 0
-    modes = (
-        ModeLabel(Polarization.H, 0, Port.A),
-        ModeLabel(Polarization.H, freq_b, Port.B),
-    )
+    # the beams are H and V of one path; a distinguishable V moves to frequency tag 1
+    modes = (ModeLabel(Polarization.H, 0, Port.A),
+             ModeLabel(Polarization.V, 1 if args.distinguishable else 0, Port.A))
     state = fock.make_fock([args.n_a, args.n_b], cutoff, modes=modes)
-    mixing = 2.0 * args.theta  # plate angle theta maps to a 2*theta rotation
-    out = fock.apply_beam_splitter(state, mixing_angle=mixing, convention=fock.ROTATION)
+    out = fock.apply_waveplate_polarizer(state, args.theta)
     stats = fock.number_difference_stats(out)
     coincidence = fock.coincidence_probability(out)
     distribution = sorted(stats.distribution.items())

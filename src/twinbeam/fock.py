@@ -440,12 +440,24 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
 
 
 def _pair_coefficients(mixing_angle: float, convention: str) -> tuple:
+    """(alpha, beta, gamma, delta): a+ -> alpha c+ + beta d+, b+ -> gamma c+ + delta d+."""
     c, s = np.cos(mixing_angle), np.sin(mixing_angle)
     if convention == SYMMETRIC_I:
         return c, 1j * s, 1j * s, c
     if convention == ROTATION:
         return c, -s, s, c
     raise ValidationError(f"unknown convention {convention!r}")
+
+
+def _plate_mixing_angle(theta: float) -> float:
+    """2*theta, the mixing angle of a half-wave plate at theta; a NaN or
+    infinite theta, or one whose double overflows, is refused by name."""
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValidationError(f"theta must be finite, got {theta}")
+    if not math.isfinite(2.0 * theta):
+        raise ValidationError(f"theta = {theta!r} is too large: its mixing angle 2*theta overflows")
+    return 2.0 * theta
 
 
 def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeState:
@@ -529,10 +541,9 @@ def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeS
     The plate rotates polarizations by 2*theta, so it is a splitter on the
     H/V pair of each frequency tag: theta = pi/8 is balanced and theta = pi/4
     swaps the ports. The polarizer then routes H to port c and V to port d.
-    A NaN or infinite theta is refused.
+    A NaN or infinite theta, or one whose double overflows, is refused.
     """
-    if not math.isfinite(theta):
-        raise ValidationError(f"theta must be finite, got {theta}")
+    mixing_angle = _plate_mixing_angle(theta)
     ports = state.ports()
     if len(ports) != 1:
         raise ValidationError("waveplate input must sit on a single spatial path")
@@ -542,7 +553,7 @@ def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeS
     return _scatter(
         state,
         pairs,
-        _pair_coefficients(2.0 * theta, ROTATION),
+        _pair_coefficients(mixing_angle, ROTATION),
         lambda m: m.moved_to(Port.C if m.polarization == Polarization.H else Port.D),
     )
 

@@ -4,17 +4,11 @@ Conventions: X = (a + a+)/sqrt(2), P = i(a+ - a)/sqrt(2), so each vacuum
 quadrature has variance 1/2 and the difference quadratures obey
 dX_minus * dP_minus >= 1.
 
-For bright beams of mean fields a and b, the number difference after a
-wave plate at angle theta and a polarizing splitter has linearized standard
-deviation
-
-    dN_minus(theta) = KAPPA * sqrt(v' C v),
-
-with v = cos(4 theta) w_n + sin(4 theta) w_j built from the mean fields
-(theta = 0 reads the amplitude difference, theta = pi/8 the phase
-difference). The prefactor KAPPA = sqrt(2) is fixed by demanding exact
-agreement with the Fock engine on coherent inputs, balanced or not, where
-the linearization is exact (see cross_check_against_fock).
+The number difference is read through the symmetric-i splitter at mixing
+angle 2 theta, whose mode matrix comes from ``fock``. It has the number
+statistics of the wave plate at theta and the polarizing splitter after V
+is retarded by a quarter wave (b -> i b): in the Reck form of ``fock``'s
+sector comment the two differ by p = i on b and a phase on output d.
 """
 
 from __future__ import annotations
@@ -25,10 +19,6 @@ import numpy as np
 
 from . import fock
 from .errors import TruncationError, ValidationError
-from .modes import ModeLabel, Polarization, Port
-
-#: Convention constant relating dN_minus to mean field times quadrature std.
-KAPPA = np.sqrt(2.0)
 
 #: Symplectic form for the (X_a, P_a, X_b, P_b) ordering.
 OMEGA = np.array(
@@ -51,10 +41,14 @@ def vacuum_covariance() -> np.ndarray:
 
 
 def validate_covariance(cov: np.ndarray) -> np.ndarray:
-    """Check symmetry and the quantum-validity condition C + (i/2) Omega >= 0."""
+    """Check finite entries, symmetry and the quantum-validity condition
+    C + (i/2) Omega >= 0."""
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (4, 4):
         raise ValidationError(f"covariance must be 4x4, got {cov.shape}")
+    if not np.isfinite(cov).all():
+        i, j = np.argwhere(~np.isfinite(cov))[0]
+        raise ValidationError(f"covariance entry ({i}, {j}) must be finite, got {cov[i, j]}")
     if not np.allclose(cov, cov.T, atol=1e-10):
         raise ValidationError("covariance must be symmetric")
     eigs = np.linalg.eigvalsh(cov + 0.5j * OMEGA)
@@ -74,10 +68,13 @@ class QuadratureState:
     cov: np.ndarray = field(default_factory=vacuum_covariance)
 
     def __post_init__(self):
+        for name in ("mean_a", "mean_b"):
+            mean = complex(getattr(self, name))
+            if not np.isfinite(mean):
+                raise ValidationError(f"{name} must be finite, got {mean}")
+            object.__setattr__(self, name, mean)
         cov = validate_covariance(self.cov)
         cov.setflags(write=False)
-        object.__setattr__(self, "mean_a", complex(self.mean_a))
-        object.__setattr__(self, "mean_b", complex(self.mean_b))
         object.__setattr__(self, "cov", cov)
 
 
@@ -101,25 +98,25 @@ def quadrature_difference_stds(state: QuadratureState) -> DifferenceStats:
     return DifferenceStats(np.sqrt(max(var_x, 0.0)), np.sqrt(max(var_p, 0.0)))
 
 
-def _direction_vectors(mean_a: complex, mean_b: complex) -> tuple[np.ndarray, np.ndarray]:
-    # dN_minus couples to w_n, the interference term i(a+b - ab+) to w_j;
-    # both enter as sqrt(2) * w . delta for linearized fluctuations.
-    w_n = np.array([mean_a.real, mean_a.imag, -mean_b.real, -mean_b.imag])
-    w_j = np.array([-mean_b.imag, mean_b.real, mean_a.imag, -mean_a.real])
-    return w_n, w_j
-
-
 def number_difference_std(state: QuadratureState, theta: float) -> float:
-    """Linearized std of the output number difference after a plate at theta.
+    """Linearized std of n_c - n_d after the symmetric-i splitter at mixing
+    angle 2 theta (theta = 0 leaves the beams unmixed, pi/8 is balanced),
+    refused as the plate refuses theta.
 
-    theta = 0 leaves the beams unmixed (reads the amplitude difference),
-    theta = pi/8 acts as a balanced splitter (reads the phase difference),
-    and a general angle mixes them as cos(4 theta), sin(4 theta). The mean
-    fields need not be balanced.
+    With its mode matrix (alpha, beta, gamma, delta), the output means are
+    c = alpha a + gamma b and d = beta a + delta b, and g, the gradient of
+    |c|^2 - |d|^2, is (conj(alpha) c - conj(beta) d, conj(gamma) c - conj(delta) d).
+    The std is sqrt(v' C v) with v = sqrt(2) (Re g_a, Im g_a, Re g_b, Im g_b),
+    the sqrt(2) of X; exact on coherent inputs, balanced or not.
     """
-    w_n, w_j = _direction_vectors(state.mean_a, state.mean_b)
-    v = np.cos(4.0 * theta) * w_n + np.sin(4.0 * theta) * w_j
-    return float(KAPPA * np.sqrt(max(v @ state.cov @ v, 0.0)))
+    alpha, beta, gamma, delta = map(complex, fock._pair_coefficients(
+        fock._plate_mixing_angle(theta), fock.SYMMETRIC_I))
+    c = alpha * state.mean_a + gamma * state.mean_b
+    d = beta * state.mean_a + delta * state.mean_b
+    g = np.array([alpha.conjugate() * c - beta.conjugate() * d,
+                  gamma.conjugate() * c - delta.conjugate() * d])
+    v = np.sqrt(2.0) * g.view(np.float64)  # (Re g_a, Im g_a, Re g_b, Im g_b)
+    return float(np.sqrt(max(v @ state.cov @ v, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +146,15 @@ def cross_check_against_fock(
     cutoff: int = 24,
     thetas=(0.0, np.pi / 16, np.pi / 8),
 ) -> FockCrossCheck:
-    """Compare linearized dN_minus(theta) with the exact Fock statistics.
-
-    Both sides hold the same state: the exact side scatters a coherent pair
-    through the wave plate and polarizer, and the linearized side gives that
-    pair vacuum fluctuations. Truncation leakage above 1e-8 invalidates the
+    """Compare linearized dN_minus(theta) with the exact Fock statistics of
+    the optic it computes: the exact side scatters a coherent pair on ports
+    a, b through ``fock.apply_beam_splitter`` at mixing angle 2 theta in its
+    default, symmetric-i convention; the linearized side gives that pair
+    vacuum fluctuations. Truncation leakage above 1e-8 invalidates the
     comparison.
     """
     alpha = complex(alpha)
-    pair_modes = (
-        ModeLabel(Polarization.H, 0, Port.A),
-        ModeLabel(Polarization.V, 0, Port.A),
-    )
-    state = fock.make_coherent_pair(alpha, alpha, cutoff, modes=pair_modes)
+    state = fock.make_coherent_pair(alpha, alpha, cutoff)
     if state.truncation_leakage > fock.LEAKAGE_THRESHOLD:
         raise TruncationError(
             f"truncation leakage {state.truncation_leakage:.3g} too large for a "
@@ -170,7 +163,7 @@ def cross_check_against_fock(
     quad = QuadratureState(alpha, alpha)
     exact, linearized, errors = [], [], []
     for theta in thetas:
-        scattered = fock.apply_waveplate_polarizer(state, theta)
+        scattered = fock.apply_beam_splitter(state, mixing_angle=fock._plate_mixing_angle(theta))
         exact_std = fock.number_difference_stats(scattered).std
         linear_std = number_difference_std(quad, theta)
         scale = max(exact_std, linear_std)

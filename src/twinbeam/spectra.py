@@ -282,20 +282,21 @@ def _spell(x, spec, frame, keep):
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(what: str, direct, safe, u, xi):
-    """``direct(u, xi)``, the closed form, where it is finite; elsewhere
-    ``safe(u, xi)``, a form that squares no u and so overflows only where
-    the true value does, with DomainError naming the first such u.
-
-    direct loses its value only through u^2: inf / inf where it overflows,
-    0 / 0 or x / 0 where it underflows, and x / u^2 overflowing next to a
-    subnormal u^2.
-    """
+def _evaluate(what: str, direct, small, u, xi):
+    """``direct(u, xi)``, a closed form that divides by u^2, except where
+    |u| < 2^-511, the root of the least normal float, so that u^2 is
+    subnormal or 0 and keeps only a few digits; there ``small(u, xi)``,
+    which squares no u. DomainError names the pole u = 0, or the first u
+    where the value exceeds the float range."""
+    xi = _check_xi(xi)
+    u = np.asarray(u, dtype=float)
+    if (u == 0.0).any():
+        raise DomainError(f"{what} diverges at u = 0")
     with np.errstate(all="ignore"):
         out = direct(u, xi)
-        redo = ~np.isfinite(out)
-        if redo.any():
-            out = np.where(redo, safe(u, xi), out)
+        tiny = np.abs(u) < 2.0**-511
+        if tiny.any():
+            out = np.where(tiny, small(u, xi), out)
     if np.isinf(out).any():
         u_bad = float(np.broadcast_to(u, out.shape)[np.isinf(out)][0])
         raise DomainError(f"{what} exceeds the float range at u = {u_bad!r}")
@@ -306,24 +307,23 @@ def intensity_diff_spectrum(u, xi: float):
     """Intensity-difference noise 1 - xi / (1 + u^2), squeezed below shot noise.
 
     Evaluated as ((1 - xi) + u^2) / (1 + u^2), which does not cancel near
-    xi = 1 at small u, and as 1 - xi / (1 + u^2) where u^2 overflows.
+    xi = 1 at small u and keeps a subnormal u^2 (the value at xi = 1), and
+    as 1 - xi / (1 + u^2) = 1 where u^2 overflows.
     """
-    return _evaluate("intensity-difference spectrum",
-                     lambda u, xi: ((1.0 - xi) + u**2) / (1.0 + u**2),
-                     lambda u, xi: 1.0 - xi / (1.0 + u**2),
-                     np.asarray(u, dtype=float), _check_xi(xi))
+    u, xi = np.asarray(u, dtype=float), _check_xi(xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = u**2
+        out = ((1.0 - xi) + square) / (1.0 + square)
+    out = np.where(np.isinf(square), 1.0, out)  # inf / inf, where 1 - xi / inf is 1
+    return float(out) if out.ndim == 0 else out
 
 
 def phase_diff_spectrum(u, xi: float):
     """Phase-difference noise 1 + xi / u^2, antisqueezed; pole at u = 0.
 
-    Evaluated as 1 + xi / u / u where u^2 underflows; DomainError where the
-    value exceeds the float range.
+    Evaluated as 1 + xi / u / u where u^2 is subnormal or underflows;
+    DomainError where the value exceeds the float range.
     """
-    xi = _check_xi(xi)
-    u = np.asarray(u, dtype=float)
-    if (u == 0.0).any():
-        raise DomainError("phase-difference spectrum diverges at u = 0")
     return _evaluate("phase-difference spectrum", lambda u, xi: 1.0 + xi / u**2,
                      lambda u, xi: 1.0 + xi / u / u, u, xi)
 
@@ -347,12 +347,8 @@ def uncertainty_product(u, xi: float):
 
 def uncertainty_excess(u, xi: float):
     """Closed form of uncertainty_product - 1: 0 where u^2 (1 + u^2)
-    overflows, xi (1 - xi) / u / u / (1 + u^2) where u^2 underflows, and
-    DomainError where the value exceeds the float range."""
-    xi = _check_xi(xi)
-    u = np.asarray(u, dtype=float)
-    if np.any(u == 0.0):
-        raise DomainError("uncertainty product diverges at u = 0")
+    overflows, xi (1 - xi) / u / u / (1 + u^2) where u^2 is subnormal or
+    underflows, and DomainError where the value exceeds the float range."""
     return _evaluate("uncertainty product",
                      lambda u, xi: xi * (1.0 - xi) / (u**2 * (1.0 + u**2)),
                      lambda u, xi: xi * (1.0 - xi) / u / u / (1.0 + u**2), u, xi)

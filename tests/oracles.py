@@ -212,6 +212,49 @@ def random_valid_covariance(
     return cov
 
 
+def displaced_tmsv(alpha_a: complex, alpha_b: complex, r: float,
+                   cutoff: int) -> tuple[np.ndarray, float]:
+    """D_a(alpha_a) D_b(alpha_b) exp(r (a+ b+ - a b)) |0, 0> on two modes of
+    ``cutoff``: the flat amplitudes, renormalized, and the weight dropped.
+
+    Each factor is ``scipy.linalg.expm`` of its generator on 30 more levels
+    per mode than kept: the squeezer on the |n, n> ladder, which it never
+    leaves, a displacement per mode. Mean fields (alpha_a, alpha_b),
+    covariance :func:`tmsv_covariance`.
+    """
+    from scipy.linalg import expm
+
+    big = cutoff + 31
+    n = np.arange(1, big)
+    # (a+ b+ - a b) |n, n> = (n + 1) |n + 1, n + 1> - n |n - 1, n - 1>
+    twin = np.diag(expm(r * (np.diag(n, -1) - np.diag(n, 1)))[:, 0])
+    a = ladder(big)
+    d_a, d_b = (expm(alpha * a.conj().T - np.conj(alpha) * a) for alpha in (alpha_a, alpha_b))
+    kept = (d_a @ twin @ d_b.T)[: cutoff + 1, : cutoff + 1]
+    weight = float(np.sum(np.abs(kept) ** 2))
+    return kept.ravel() / math.sqrt(weight), 1.0 - weight
+
+
+def tmsv_covariance(r: float) -> np.ndarray:
+    """Covariance of (X_a, P_a, X_b, P_b) of exp(r (a+ b+ - a b)) |0, 0>,
+    vacuum 1/2: a -> a cosh r + b+ sinh r correlates X_a with X_b and
+    anticorrelates P_a with P_b."""
+    ch, sh = math.cosh(2.0 * r) / 2.0, math.sinh(2.0 * r) / 2.0
+    cov = np.diag([ch, ch, ch, ch])
+    cov[0, 2] = cov[2, 0] = sh
+    cov[1, 3] = cov[3, 1] = -sh
+    return cov
+
+
+def tmsv_fourth_moment(r: float, mixing_angle: float) -> float:
+    """Var(n_c - n_d) of a Gaussian state beyond its linearized part,
+    (1/2) Tr(HVHV) + (1/8) Tr(H Omega H Omega) with H the quadratic form of
+    n_c - n_d: for the covariance of :func:`tmsv_covariance` through a
+    splitter at ``mixing_angle`` t, either convention, sin^2(2t) sinh^2(2r)
+    (Isserlis' theorem on the Wigner function plus the ordering term)."""
+    return math.sin(2.0 * mixing_angle) ** 2 * math.sinh(2.0 * r) ** 2
+
+
 def poisson_tail(mean: float, cutoff: int) -> float:
     """P(N > cutoff) for Poisson(mean), by compensated summation."""
     terms = []

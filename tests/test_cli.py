@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import re
 import warnings
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from twinbeam import cli, tracefit
+from twinbeam import cli, fock, tracefit
 from twinbeam.errors import TraceParseError
+from twinbeam.modes import ModeLabel, Polarization, Port
 from twinbeam.spectra import OpoParams
 
 
@@ -81,6 +83,40 @@ class TestHom:
     def test_the_largest_pair_total_runs(self, capsys):
         assert run("hom", "--n-a", "30", "--n-b", "30") == 0
         assert json.loads(capsys.readouterr().out)["distribution"]["0"] > 0.0
+
+    def test_a_plate_angle_whose_double_overflows_is_refused(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("hom", "--theta=1e308") == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: theta = 1e+308 is too large: its mixing angle 2*theta "
+                                "overflows\n")
+
+    @pytest.mark.parametrize("distinguishable", [False, True])
+    def test_the_plate_reports_what_the_rotation_splitter_did(self, distinguishable, capsys):
+        # the reference is the route hom took before the plate: beams on ports a
+        # and b, the second on frequency tag 1 when distinguishable, through the
+        # real rotation at twice the plate angle; the JSON is byte-identical
+        flags = ["--distinguishable"] if distinguishable else []
+        for n_a, n_b in itertools.product(range(5), repeat=2):
+            for theta in (np.pi / 8, 0.0, 0.1, -0.7, np.pi / 4, 2.5):
+                assert run("hom", "--n-a", str(n_a), "--n-b", str(n_b),
+                           f"--theta={theta!r}", *flags) == 0
+                modes = (ModeLabel(Polarization.H, 0, Port.A),
+                         ModeLabel(Polarization.H, int(distinguishable), Port.B))
+                state = fock.make_fock([n_a, n_b], max(n_a + n_b, 1), modes=modes)
+                out = fock.apply_beam_splitter(state, mixing_angle=2.0 * theta,
+                                               convention=fock.ROTATION)
+                stats = fock.number_difference_stats(out)
+                reference = {
+                    "n_a": n_a, "n_b": n_b, "distinguishable": distinguishable, "theta": theta,
+                    "distribution": {str(k): v for k, v in sorted(stats.distribution.items())},
+                    "dn_minus": stats.std,
+                    "coincidence_probability": fock.coincidence_probability(out),
+                    "truncation_leakage": out.truncation_leakage,
+                }
+                assert capsys.readouterr().out == json.dumps(reference, indent=2) + "\n"
 
 
 class TestLimits:
@@ -511,6 +547,14 @@ class TestFloatRange:
     def test_uncertainty_without_correlation_is_unity(self, capsys):
         assert run("uncertainty", "--xi", "0", "--u-grid", "1e-170") == 0
         assert capsys.readouterr().out.splitlines()[1] == "1e-170,1,1,1,0"
+
+    def test_uncertainty_at_a_subnormal_u_squared_keeps_every_digit(self, capsys):
+        # u^2 = 1e-322 is subnormal: xi / u^2 wrote 1.1 and 0.1
+        assert run("uncertainty", "--xi", "1e-323", "--u-grid", "1e-161,1e-158") == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "1e-161,1,1.09881312917,1.09881312917,0.0988131291682",
+            "1e-158,1,1.00000009881,1.00000009881,9.88131291682e-08",
+        ]
 
     @pytest.mark.parametrize("xi, u", [("1", "1e-170"), ("0.5", "1e-160")])
     def test_uncertainty_past_the_float_range_is_refused(self, xi, u, capsys):

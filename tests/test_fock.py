@@ -1,6 +1,8 @@
 """Exact Fock-engine tests: interference dichotomies, scaling laws, unitarity."""
 
+import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -354,6 +356,14 @@ class TestWaveplatePolarizer:
     def test_non_finite_theta_rejected(self, theta):
         with pytest.raises(ValidationError, match=f"theta must be finite, got {theta}"):
             fock.apply_waveplate_polarizer(self.pair(1, 1, 2), theta)
+
+    def test_theta_whose_double_overflows_is_refused_by_name(self):
+        # 1e308 is finite, but cos(2e308) warned and the NaN matrix failed as not unitary
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(
+                    "theta = 1e+308 is too large: its mixing angle 2*theta overflows")):
+                fock.apply_waveplate_polarizer(self.pair(1, 1, 2), 1e308)
 
     def test_weight_above_the_cutoff_gets_only_the_phase_shifters(self):
         # coherent light leaves a leakage-level weight on H + V > cutoff,

@@ -1,5 +1,8 @@
 """Quadrature-algebra tests: Heisenberg bound, angle map, exact-engine checks."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,7 +93,6 @@ class TestNumberDifferenceStd:
         alpha = 1.7
         got = quad.number_difference_std(quad.QuadratureState(alpha, alpha), 0.0)
         assert got == pytest.approx(np.sqrt(2.0) * alpha, rel=1e-12)
-        assert quad.KAPPA == pytest.approx(np.sqrt(2.0))
 
     def test_squeezed_input_reduced_at_zero_angle(self):
         cov = spectra.opo_quadrature_covariance(0.5, 0.72)
@@ -141,6 +143,76 @@ class TestNumberDifferenceStd:
         for theta in (0.0, np.pi / 16, np.pi / 8, 0.3, np.pi / 4):
             exact = fock.number_difference_stats(fock.apply_waveplate_polarizer(state, theta)).std
             assert quad.number_difference_std(linear, theta) == pytest.approx(exact, rel=1e-12)
+
+
+    @pytest.mark.parametrize("alpha, r", [(1 + 1j, 0.3), (0.5 + 1j, 0.35), (1j, 0.4)])
+    def test_displaced_squeezed_vacuum_matches_the_symmetric_splitter(self, alpha, r):
+        # off the coherent states: the linearized variance plus the Gaussian
+        # fourth-moment term is the exact variance of the optic the layer reads
+        amplitudes, leakage = oracles.displaced_tmsv(alpha, alpha, r, cutoff=30)
+        state = fock.MultimodeState((ModeLabel(Polarization.H, 0, Port.A),
+                                     ModeLabel(Polarization.H, 0, Port.B)), 30, amplitudes)
+        assert leakage < 1e-12
+        linear = quad.QuadratureState(alpha, alpha, oracles.tmsv_covariance(r))
+        for theta in (np.pi / 16, -0.3, 0.5):
+            exact = fock.number_difference_stats(
+                fock.apply_beam_splitter(state, mixing_angle=2.0 * theta)).variance
+            predicted = (quad.number_difference_std(linear, theta) ** 2
+                         + oracles.tmsv_fourth_moment(r, 2.0 * theta))
+            assert predicted == pytest.approx(exact, rel=1e-5)
+
+    def test_the_splitter_is_the_plate_after_a_quarter_wave_on_v(self):
+        # symmetric-i at 2 theta on (a, b) and the plate at theta on (a, i b)
+        # give the same port statistics, bit for bit
+        rng = np.random.default_rng(27)
+        cutoff = 8
+        n_a, n_b = np.divmod(np.arange((cutoff + 1) ** 2), cutoff + 1)
+        quarter_wave = np.array([1, 1j, -1, -1j])[n_b % 4]
+        plate_modes = (ModeLabel(Polarization.H, 0, Port.A), ModeLabel(Polarization.V, 0, Port.A))
+        for _ in range(50):
+            psi = rng.normal(size=n_a.size) + 1j * rng.normal(size=n_a.size)
+            psi[n_a + n_b > cutoff] = 0.0
+            psi /= np.linalg.norm(psi)
+            theta = float(rng.uniform(-3.0, 3.0))
+            splitter = fock.apply_beam_splitter(
+                fock.MultimodeState((ModeLabel(Polarization.H, 0, Port.A),
+                                     ModeLabel(Polarization.H, 0, Port.B)), cutoff, psi),
+                mixing_angle=2.0 * theta)
+            plate = fock.apply_waveplate_polarizer(
+                fock.MultimodeState(plate_modes, cutoff, quarter_wave * psi), theta)
+            np.testing.assert_array_equal(fock.port_stats(splitter), fock.port_stats(plate))
+            assert fock.number_difference_stats(splitter) == fock.number_difference_stats(plate)
+
+
+def _covariance_with(entries):
+    cov = quad.vacuum_covariance()
+    for (i, j), value in entries.items():
+        cov[i, j] = value
+    return cov
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: quad.QuadratureState(np.nan, 1.0), "mean_a must be finite, got (nan+0j)"),
+    (lambda: quad.QuadratureState(1.0, complex(1.0, np.inf)), "mean_b must be finite, got (1+infj)"),
+    (lambda: quad.QuadratureState(1.0, 1.0, _covariance_with({(2, 2): np.inf})),
+     "covariance entry (2, 2) must be finite, got inf"),
+    (lambda: quad.QuadratureState(1.0, 1.0, np.full((4, 4), np.inf)),
+     "covariance entry (0, 0) must be finite, got inf"),
+    (lambda: quad.QuadratureState(1.0, 1.0, _covariance_with({(1, 2): np.nan})),
+     "covariance entry (1, 2) must be finite, got nan"),
+    (lambda: quad.number_difference_std(quad.QuadratureState(1.0, 1.0), np.nan),
+     "theta must be finite, got nan"),
+    (lambda: quad.number_difference_std(quad.QuadratureState(1.0, 1.0), -np.inf),
+     "theta must be finite, got -inf"),
+    (lambda: quad.number_difference_std(quad.QuadratureState(1.0, 1.0), 1e308),
+     "theta = 1e+308 is too large: its mixing angle 2*theta overflows"),
+], ids=["mean_a", "mean_b", "one_inf_diagonal", "all_inf", "nan_entry", "theta_nan",
+        "theta_inf", "theta_doubles_past_the_float_range"])
+def test_non_finite_input_is_refused_by_name(make, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make()
 
 
 class TestCrossCheck:
