@@ -227,17 +227,8 @@ def cmd_fit(args, config) -> int:
     prefix = Path(args.output_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(f"{prefix}.fit.txt").write_text(result.to_key_value(), encoding="utf-8")
-    payload = result.to_dict()
-    payload["squeezing_raw_db"] = report.raw_db
-    payload["squeezing_corrected_db"] = report.corrected_db
-    payload["squeezing_bandwidth_hz"] = report.bandwidth_hz
-    with np.errstate(invalid="ignore"):  # a near-singular fit can leave a negative variance
-        stderrs = np.sqrt(result.covariance.diagonal())
-    for name, stderr in zip(("s0_dbm", "xi", "delta_hz"), stderrs):
-        payload[f"{name}_stderr"] = float(stderr) if np.isfinite(stderr) else None
-    payload["iterations"] = result.iterations
-    payload["xi_at_boundary"] = bool(result.xi_at_boundary)
-    Path(f"{prefix}.fit.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    Path(f"{prefix}.fit.json").write_text(json.dumps(result.record(report), indent=2) + "\n",
+                                          encoding="utf-8")
     Path(f"{prefix}.phase_prediction.csv").write_text(phase_curve.to_csv(), encoding="utf-8")
 
     lines = [

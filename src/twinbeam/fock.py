@@ -57,6 +57,7 @@ class MultimodeState:
     truncation_leakage: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(map(_mode_label, self.modes)))
         # a copy: a state never freezes or aliases an array its caller holds
         self._own(np.array(self.vectors, dtype=np.complex128, ndmin=2), np.shape(self.vectors))
 
@@ -146,14 +147,24 @@ def _occupations(dim: int, n_modes: int) -> np.ndarray:
     return occ
 
 
+def _mode_label(m) -> ModeLabel:
+    """``m`` as a ModeLabel; a tuple of its fields is unpacked into one."""
+    try:
+        if isinstance(m, (ModeLabel, tuple)):
+            return m if isinstance(m, ModeLabel) else ModeLabel(*m)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"mode label {m!r} is neither a ModeLabel nor a tuple of its fields")
+
+
 def _mode_labels(modes, n: int) -> tuple[ModeLabel, ...]:
-    """``modes`` as ModeLabels (tuples are unpacked into one), or by default
-    equal polarization and frequency on ports a, b, ... for n modes."""
+    """``modes`` as ModeLabels, or by default equal polarization and
+    frequency on ports a, b, ... for n modes."""
     if modes is None:
         if n > len(Port):
             raise ValidationError("explicit mode labels required for more than 4 modes")
         return tuple(ModeLabel(Polarization.H, 0, port) for port in list(Port)[:n])
-    return tuple(m if isinstance(m, ModeLabel) else ModeLabel(*m) for m in modes)
+    return tuple(map(_mode_label, modes))
 
 
 # ---------------------------------------------------------------------------

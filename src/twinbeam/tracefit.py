@@ -182,18 +182,30 @@ class FitResult:
                  for key, value in self.to_dict().items()]
         return "\n".join(lines) + "\n"
 
+    def record(self, report: SqueezingReport) -> dict:
+        """The ``fit.json`` mapping of this fit and its squeezing ``report``."""
+        record = self.to_dict()
+        record["squeezing_raw_db"] = report.raw_db
+        record["squeezing_corrected_db"] = report.corrected_db
+        record["squeezing_bandwidth_hz"] = report.bandwidth_hz
+        with np.errstate(invalid="ignore"):  # a near-singular fit can leave a negative variance
+            stderrs = np.sqrt(self.covariance.diagonal())
+        for name, stderr in zip(("s0_dbm", "xi", "delta_hz"), stderrs):
+            record[f"{name}_stderr"] = float(stderr) if np.isfinite(stderr) else None
+        record["iterations"] = self.iterations
+        record["xi_at_boundary"] = bool(self.xi_at_boundary)
+        return record
+
 
 @dataclass(frozen=True)
 class SqueezingReport:
-    """Squeezing levels inferred from a fitted intensity-difference trace."""
+    """Squeezing levels inferred from a fitted intensity-difference trace:
+    ``raw_db`` is None at complete correlation (xi >= 1 - 1e-12), and
+    ``corrected_db`` without a floor or with one at or above the squeezed level."""
 
     raw_db: float | None
     corrected_db: float | None
     bandwidth_hz: float
-    dc_level_dbm: float | None
-    floor_rel_s0: float | None
-    complete_correlation: bool
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +690,7 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
 
 def predict_phase_spectrum(fit: FitResult, nu_hz) -> SpectrumCurve:
     """Phase-difference curve in dBm from the fitted parameters alone."""
-    if not 0.0 < fit.xi <= 1.0 or fit.delta_hz <= 0.0:
+    if not (0.0 < fit.xi <= 1.0 and 0.0 < fit.delta_hz < math.inf and math.isfinite(fit.s0_dbm)):
         raise ValidationError("fit does not hold valid (xi, delta) for prediction")
     nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
     rel = spectra.phase_diff_spectrum(nu / fit.delta_hz, fit.xi)
@@ -694,40 +706,23 @@ def report_squeezing(
     taken as the mean floor power over the trace span) from the squeezed
     level while leaving the shot-noise reference untouched. Below complete
     correlation, a floor with no sample in the trace span is refused.
+    ``raw_db`` is None at complete correlation (xi >= 1 - 1e-12), and
+    ``corrected_db`` without a floor or with one at or above the squeezed level.
     """
     if fit.xi >= 1.0 - 1e-12:
-        return SqueezingReport(
-            raw_db=None, corrected_db=None, bandwidth_hz=fit.delta_hz,
-            dc_level_dbm=None, floor_rel_s0=None, complete_correlation=True,
-            note="complete correlation at dc",
-        )
+        return SqueezingReport(raw_db=None, corrected_db=None, bandwidth_hz=fit.delta_hz)
     rel_dc = 1.0 - fit.xi
-    raw_db = 10.0 * np.log10(rel_dc)
-    dc_level_dbm = fit.s0_dbm + raw_db
     corrected_db = None
-    floor_rel = None
-    note = ""
     if floor is not None:
         lo, hi = trace.span_hz()
         sel = (floor.frequencies_hz >= lo) & (floor.frequencies_hz <= hi)
         if not sel.any():
             raise ValidationError(f"noise floor has no sample in the trace span ({lo:g}, {hi:g}) Hz")
         floor_dbm = 10.0 * np.log10(float(np.mean(floor.powers_mw()[sel])))
-        floor_rel = 10.0 ** ((floor_dbm - fit.s0_dbm) / 10.0)
-        net = rel_dc - floor_rel
-        if net <= 0.0:
-            note = "squeezed level at or below the detection floor"
-        else:
-            corrected_db = 10.0 * np.log10(net)
-    return SqueezingReport(
-        raw_db=float(raw_db),
-        corrected_db=None if corrected_db is None else float(corrected_db),
-        bandwidth_hz=fit.delta_hz,
-        dc_level_dbm=float(dc_level_dbm),
-        floor_rel_s0=None if floor_rel is None else float(floor_rel),
-        complete_correlation=False,
-        note=note,
-    )
+        net = rel_dc - 10.0 ** ((floor_dbm - fit.s0_dbm) / 10.0)
+        if net > 0.0:
+            corrected_db = float(10.0 * np.log10(net))
+    return SqueezingReport(float(10.0 * np.log10(rel_dc)), corrected_db, fit.delta_hz)
 
 
 # ---------------------------------------------------------------------------

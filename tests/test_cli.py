@@ -438,6 +438,63 @@ class TestFitCommand:
         fit_json = json.loads((tmp_path / "f.fit.json").read_text())
         assert [fit_json[f"{name}_stderr"] for name in ("s0_dbm", "xi", "delta_hz")] == [None] * 3
 
+    @pytest.mark.parametrize("case", ["interior", "floor", "floor_at_s0", "xi_1_tail"])
+    def test_fit_outputs_assemble_the_api_results(self, tmp_path, trace_path, case, capsys):
+        # the outputs are built here from the API's results, key by key, so a
+        # change in how the CLI assembles them shows as a byte difference
+        args, overrides, floor = [], {}, None
+        if case == "xi_1_tail":  # the reproducer of the xi = 1 report above
+            assert run("synth", "--xi", "0.5", "--delta-hz", "1.5e6", "--s0-dbm", "-80",
+                       "--noise-db", "0.15", "--seed", "9", "--output", str(trace_path)) == 0
+        if case.startswith("floor"):
+            floor_dbm = -94.5 if case == "floor" else -79.0
+            floor = tracefit.SpectrumTrace(tracefit.grid_hz(0.4e6, 10.5e6, 100e3),
+                                           np.full(102, floor_dbm))
+            (tmp_path / "floor.csv").write_text(tracefit.trace_to_csv(floor), encoding="utf-8")
+            args += ["--floor", str(tmp_path / "floor.csv")]
+        if case == "floor_at_s0":
+            args += ["--weight-space", "linear"]
+            overrides["weight_space"] = "linear"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the boundary warning of xi = 1
+            assert run("fit", "--trace", str(trace_path), *args,
+                       "--output-prefix", str(tmp_path / "f")) == 0
+            trace = tracefit.load_trace(trace_path)
+            config = tracefit.FitConfig.standard(**overrides)
+            result = tracefit.fit_intensity_spectrum(trace, config)
+        report = tracefit.report_squeezing(trace, result, floor)
+        assert (report.raw_db is None) == (case == "xi_1_tail")
+        assert (report.corrected_db is None) == (case != "floor")
+
+        payload = result.to_dict()
+        payload["squeezing_raw_db"] = report.raw_db
+        payload["squeezing_corrected_db"] = report.corrected_db
+        payload["squeezing_bandwidth_hz"] = report.bandwidth_hz
+        with np.errstate(invalid="ignore"):
+            stderrs = np.sqrt(result.covariance.diagonal())
+        for name, stderr in zip(("s0_dbm", "xi", "delta_hz"), stderrs):
+            payload[f"{name}_stderr"] = float(stderr) if np.isfinite(stderr) else None
+        payload["iterations"] = result.iterations
+        payload["xi_at_boundary"] = bool(result.xi_at_boundary)
+        lines = [
+            f"s0_dbm={result.s0_dbm:.6g}",
+            f"xi={result.xi:.6g}",
+            f"delta_hz={result.delta_hz:.6g}",
+            f"rms_residual_db={result.rms_residual_db:.6g}",
+            f"points_used={result.points_used}",
+            "squeezing_raw_db="
+            f"{report.raw_db if report.raw_db is not None else 'complete correlation at dc'}",
+        ]
+        if report.corrected_db is not None:
+            lines.append(f"squeezing_corrected_db={report.corrected_db:.6g}")
+        nu = trace.frequencies_hz[trace.frequencies_hz > 0.0]
+
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert (tmp_path / "f.fit.txt").read_text() == result.to_key_value()
+        assert (tmp_path / "f.fit.json").read_text() == json.dumps(payload, indent=2) + "\n"
+        assert (tmp_path / "f.phase_prediction.csv").read_text() == (
+            tracefit.predict_phase_spectrum(result, nu).to_csv())
+
     @pytest.mark.parametrize("noise_db", ["0.1", "0.02"])
     def test_flat_trace_ends_flat_or_exits_5(self, tmp_path, noise_db):
         # distinguishable beams hold no correlation: a fit may end on a xi

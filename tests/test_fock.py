@@ -332,6 +332,26 @@ class TestWaveplatePolarizer:
         out = fock.apply_waveplate_polarizer(self.pair(2, 1, 3), np.pi / 4)
         assert fock.joint_port_distribution(out)[(1, 2)] == pytest.approx(1.0, abs=1e-12)
 
+    def test_tuple_labels_act_as_mode_labels(self):
+        # tuple labels used to pass the constructor and fail the plate with
+        # AttributeError: 'tuple' object has no attribute 'spatial_port'
+        want = self.pair(2, 1, 3)
+        given = fock.MultimodeState((("H", 0, "a"), ("V", 0, "a")), 3, want.vectors)
+        assert given.modes == want.modes
+        for theta in (np.pi / 8, 0.4):
+            got = fock.port_stats(fock.apply_waveplate_polarizer(given, theta))
+            assert got.tobytes() == fock.port_stats(
+                fock.apply_waveplate_polarizer(want, theta)).tobytes(), theta
+
+    @pytest.mark.parametrize("modes, name", [
+        (("x", "y"), "'x'"),
+        ((("H", 0, "a"), ("X", 0, "a")), "('X', 0, 'a')"),
+        ((ModeLabel(H, 0, Port.A), 7), "7"),
+    ])
+    def test_other_labels_are_refused_by_name(self, modes, name):
+        with pytest.raises(ValidationError, match=re.escape(f"mode label {name} is neither")):
+            fock.MultimodeState(modes, 1, one_hot(4))
+
     def test_matches_beam_splitter_statistics(self):
         plate = fock.number_difference_stats(
             fock.apply_waveplate_polarizer(self.pair(2, 2, 4), np.pi / 8)
