@@ -15,6 +15,7 @@ state is an ensemble of pure vectors, and an optic maps each of them alike.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -78,7 +79,7 @@ class MultimodeState:
         modes = tuple(self.modes)
         if len(set(modes)) != len(modes):
             raise ValidationError(f"duplicate mode labels in {modes}")
-        if self.cutoff < 1:
+        if _integer(self.cutoff, "cutoff") < 1:
             raise ValidationError("cutoff must be >= 1")
         arr.setflags(write=False)
         object.__setattr__(self, "modes", modes)
@@ -157,14 +158,28 @@ def _mode_label(m) -> ModeLabel:
     raise ValidationError(f"mode label {m!r} is neither a ModeLabel nor a tuple of its fields")
 
 
+@lru_cache(maxsize=len(Port) + 1)
+def _default_labels(n: int) -> tuple[ModeLabel, ...]:
+    return tuple(ModeLabel(Polarization.H, 0, port) for port in list(Port)[:n])
+
+
 def _mode_labels(modes, n: int) -> tuple[ModeLabel, ...]:
     """``modes`` as ModeLabels, or by default equal polarization and
     frequency on ports a, b, ... for n modes."""
     if modes is None:
         if n > len(Port):
             raise ValidationError("explicit mode labels required for more than 4 modes")
-        return tuple(ModeLabel(Polarization.H, 0, port) for port in list(Port)[:n])
+        return _default_labels(n)
     return tuple(map(_mode_label, modes))
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a Python or numpy integer passes, anything else
+    (a float, even an integral one, a string, a NaN) is refused by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +193,8 @@ def make_fock(occupations, cutoff: int, modes=None) -> MultimodeState:
     Default mode labels put the occupations on ports a, b, ... with equal
     polarization and frequency; pass explicit ``modes`` for anything else.
     """
-    occupations = [int(n) for n in occupations]
+    cutoff = _integer(cutoff, "cutoff")
+    occupations = [_integer(n, "occupation") for n in occupations]
     modes = _mode_labels(modes, len(occupations))
     if len(modes) != len(occupations):
         raise ValidationError("one occupation per mode required")
@@ -188,9 +204,9 @@ def make_fock(occupations, cutoff: int, modes=None) -> MultimodeState:
         if n > cutoff:
             raise CapacityError(f"occupation {n} exceeds cutoff {cutoff}")
     dim = cutoff + 1
-    amps = np.zeros(dim ** len(modes), dtype=np.complex128)
-    amps[np.ravel_multi_index(occupations, (dim,) * len(modes))] = 1.0
-    return MultimodeState(modes, cutoff, amps)
+    amps = np.zeros((1, dim ** len(modes)), dtype=np.complex128)
+    amps[0, np.ravel_multi_index(occupations, (dim,) * len(modes))] = 1.0
+    return MultimodeState._adopt(modes, cutoff, amps, 0.0)
 
 
 def make_twin_mode_mixture(weights, cutoff: int) -> MultimodeState:
@@ -201,6 +217,7 @@ def make_twin_mode_mixture(weights, cutoff: int) -> MultimodeState:
     sqrt(lambda) sum_n v[n] |n,n> per eigenpair (lambda, v) of w above the
     rank tolerance of ``np.linalg.matrix_rank``.
     """
+    cutoff = _integer(cutoff, "cutoff")
     w = np.asarray(weights, dtype=np.complex128)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError(f"weight matrix must be square, got shape {w.shape}")
@@ -244,6 +261,7 @@ def make_coherent_pair(alpha_a, alpha_b, cutoff: int, modes=None) -> MultimodeSt
     (truncation safety floor); the combined leakage is stored on the state
     and a TruncationWarning is issued when it exceeds ``LEAKAGE_THRESHOLD``.
     """
+    cutoff = _integer(cutoff, "cutoff")
     alpha_a, alpha_b = complex(alpha_a), complex(alpha_b)
     for name, alpha in (("alpha_a", alpha_a), ("alpha_b", alpha_b)):
         if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
@@ -313,6 +331,25 @@ _UNITARY_TOL = 1e-12
 _rotations: dict[tuple[float, float], np.ndarray] = {}
 _ROTATIONS_KEPT = 4
 
+#: (q1, q2, p) -> the (3, dim) powers of those phases, kept the same way at
+#: the largest dim asked for since: cumprod runs along each row in order, so
+#: a smaller dim's powers are the leading columns bit for bit.
+_phases: dict[tuple[complex, complex, complex], np.ndarray] = {}
+_PHASES_KEPT = 4
+
+
+def _largest(cache: dict, key, dim: int, build, kept: int) -> np.ndarray:
+    """``cache[key]`` if its last axis covers ``dim``, else ``build(dim)``,
+    stored as the newest entry; past ``kept`` entries the oldest is evicted."""
+    table = cache.get(key)
+    if table is None or table.shape[-1] < dim:
+        table = build(dim)
+        cache.pop(key, None)
+        cache[key] = table
+        if len(cache) > kept:
+            cache.pop(next(iter(cache)), None)
+    return table
+
 
 def _rotation_blocks(c: float, s: float, dim: int) -> np.ndarray:
     """Real sector blocks d_n of R = [[c, -s], [s, c]] by the recursion above,
@@ -367,7 +404,8 @@ def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray
     ``phase_out[j, n-j] * blocks[n, j, k] * phase_in[n-k]`` in the leading
     (n+1) x (n+1) corner; beyond it the blocks carry the identity. The real
     blocks of the last few rotations built are kept and shared by every later
-    call with the same (c, s) and at most the same dim.
+    call with the same (c, s) and at most the same dim; the phase powers are
+    kept likewise per (q1, q2, p), and each call gets its own copies.
 
     Raises ValidationError when the 2x2 mode map is not unitary.
     """
@@ -385,15 +423,12 @@ def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray
     det = alpha * delta - beta * gamma
     p = det / abs(det) / (q1 * q2)
 
-    blocks = _rotations.get((c, s))
-    if blocks is None or len(blocks) < dim:
-        blocks = _rotation_blocks(c, s, dim)
-        _rotations.pop((c, s), None)
-        _rotations[c, s] = blocks
-        if len(_rotations) > _ROTATIONS_KEPT:
-            _rotations.pop(next(iter(_rotations)), None)
-    q1_powers, q2_powers, p_powers = _powers((q1, q2, p), dim)
-    return p_powers, blocks[:dim, :dim, :dim], np.multiply.outer(q1_powers, q2_powers)
+    blocks = _largest(_rotations, (c, s), dim, lambda d: _rotation_blocks(c, s, d),
+                      _ROTATIONS_KEPT)
+    phases = (q1, q2, p)
+    powers = _largest(_phases, phases, dim, lambda d: _powers(phases, d), _PHASES_KEPT)[:, :dim]
+    return (powers[2].copy(), blocks[:dim, :dim, :dim],
+            np.multiply.outer(powers[0], powers[1]))
 
 
 @lru_cache(maxsize=32)
@@ -422,7 +457,8 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
     """
     dim = tensor.shape[ax1]
     pair, slot = _sector_index(dim)
-    moved = np.moveaxis(tensor, (ax1, ax2), (0, 1))
+    order = [ax1, ax2] + [axis for axis in range(tensor.ndim) if axis not in (ax1, ax2)]
+    moved = tensor.transpose(order)
     stack = np.zeros((dim * dim, tensor.size // dim**2), dtype=np.complex128)
     # the amplitude at pair index k*dim + m has m photons in b
     stack[slot] = moved.reshape(dim * dim, -1)[pair] * phase_in[pair % dim, None]
@@ -442,7 +478,7 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
     out = np.multiply(moved, phase_in.reshape(dim, *spread), order="C")
     out.reshape(dim * dim, -1)[pair] = stack
     out *= phase_out.reshape(dim, dim, *spread)
-    return np.moveaxis(out, (0, 1), (ax1, ax2))
+    return out.transpose(sorted(range(tensor.ndim), key=order.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +637,19 @@ def port_stats(state: MultimodeState, port_c=Port.C, port_d=Port.D) -> np.ndarra
     return joint.reshape(size_c, size_d)
 
 
+@lru_cache(maxsize=32)
+def _difference_index(size_c: int, size_d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a (size_c, size_d) joint law: the flat offset n_c - n_d + size_d - 1
+    of each entry, and the differences each offset stands for and their
+    squares."""
+    offset = (np.arange(size_c)[:, None] - np.arange(size_d) + (size_d - 1)).ravel()
+    values = np.arange(1 - size_d, size_c)
+    squares = values.astype(float) ** 2
+    for index in (offset, values, squares):
+        index.setflags(write=False)
+    return offset, values, squares
+
+
 def number_difference_stats(
     state: MultimodeState, port_c=Port.C, port_d=Port.D
 ) -> ScatterOutcome:
@@ -609,13 +658,12 @@ def number_difference_stats(
     Photon numbers are summed over every frequency tag within each port.
     """
     joint = port_stats(state, port_c, port_d)
-    size_c, size_d = joint.shape
-    offset = np.arange(size_c)[:, None] - np.arange(size_d) + (size_d - 1)
-    hist = np.bincount(offset.ravel(), weights=joint.ravel())
-    values = np.arange(1 - size_d, size_c)
+    offset, values, squares = _difference_index(*joint.shape)
+    hist = np.bincount(offset, weights=joint.ravel())
     mean = float(np.dot(hist, values))
-    variance = float(np.dot(hist, values.astype(float) ** 2) - mean**2)
-    distribution = {int(v): float(pr) for v, pr in zip(values, hist) if pr > 1e-12}
+    variance = float(np.dot(hist, squares) - mean**2)
+    kept = hist > 1e-12
+    distribution = dict(zip(values[kept].tolist(), hist[kept].tolist()))
     return ScatterOutcome(distribution, mean, max(variance, 0.0))
 
 

@@ -7,11 +7,11 @@ linewidth and the phase difference is antisqueezed there:
     S_phase(u)     = 1 + xi / u^2
 
 in units of the total shot noise S0, with u = nu / delta the analysis
-frequency normalized to the cold-cavity half width delta = (T + A) D / 2 pi
-and xi = T / (T + A) the correlation coefficient (output coupling T, round
-trip loss A, free spectral range D). Their product is a minimum-uncertainty
-product plus an excess xi (1 - xi) / (u^2 (1 + u^2)) that vanishes for a
-lossless cavity.
+frequency normalized to the cold-cavity full width at half maximum (FWHM)
+delta = (T + A) D / 2 pi, and xi = T / (T + A) the correlation coefficient
+(output coupling T, round trip loss A, free spectral range D). Their
+product is a minimum-uncertainty product plus an excess
+xi (1 - xi) / (u^2 (1 + u^2)) that vanishes for a lossless cavity.
 
 The u = 0 pole of the phase spectrum is signaled explicitly; the
 ultra-low-frequency regime is outside this model. Past the float range of

@@ -77,6 +77,60 @@ class TestMakeFock:
         state = fock.make_fock([2, 1, 0], cutoff=3)
         assert state.amplitudes.shape == ((3 + 1) ** 3,)
 
+    def test_vectors_are_frozen_and_its_own_without_the_constructor_copy(self):
+        with mock.patch.object(fock.MultimodeState, "__post_init__",
+                               side_effect=AssertionError("constructor copy")):
+            states = [fock.make_fock([1, 1], 2) for _ in range(2)]
+        mixture = fock.make_twin_mode_mixture(np.diag([0.0, 1.0]), 2)
+        others = [states[1].vectors, states[1].probabilities(), mixture.vectors]
+        for array in (states[0].vectors, states[0].probabilities()):
+            assert not array.flags.writeable
+            assert not any(np.shares_memory(array, other) for other in others)
+        np.testing.assert_array_equal(states[0].vectors, mixture.vectors)
+        assert states[0].modes is states[1].modes  # the default labels are built once
+
+
+class TestIntegerArguments:
+    """Occupations and cutoffs are integers: a Python or numpy integer
+    passes, anything else is refused by name before it is used."""
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: fock.make_fock([1.7, 0], 2), "occupation must be an integer, got 1.7",
+                     id="float-occupation"),
+        pytest.param(lambda: fock.make_fock(["2", 0], 2), "occupation must be an integer, got '2'",
+                     id="string-occupation"),
+        pytest.param(lambda: fock.make_fock([float("nan"), 0], 2),
+                     "occupation must be an integer, got nan", id="nan-occupation"),
+        pytest.param(lambda: fock.make_fock([0, np.float64(1.0)], 2),
+                     "occupation must be an integer, got np.float64(1.0)", id="numpy-float-occupation"),
+        pytest.param(lambda: fock.make_fock([1, 0], 2.0), "cutoff must be an integer, got 2.0",
+                     id="float-cutoff"),
+        pytest.param(lambda: fock.make_coherent_pair(0.1, 0.1, 2.5),
+                     "cutoff must be an integer, got 2.5", id="coherent-pair"),
+        pytest.param(lambda: fock.make_twin_mode_mixture(np.eye(1), 2.5),
+                     "cutoff must be an integer, got 2.5", id="twin-mixture"),
+        pytest.param(lambda: fock.MultimodeState((ModeLabel(H, 0, Port.A),), 2.5, one_hot(4)),
+                     "cutoff must be an integer, got 2.5", id="constructor"),
+        pytest.param(lambda: fock.MultimodeState((ModeLabel(H, 0, Port.A),), "3", one_hot(4)),
+                     "cutoff must be an integer, got '3'", id="constructor-string"),
+    ])
+    def test_a_value_that_is_not_an_integer_is_refused_by_name(self, make, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make()
+
+    def test_numpy_integers_pass(self):
+        want = fock.make_fock([2, 1], 3)
+        for occupations, cutoff in (([np.int64(2), np.int32(1)], 3), (np.array([2, 1]), np.int64(3))):
+            got = fock.make_fock(occupations, cutoff)
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+            assert got.cutoff == 3
+        mixture = fock.make_twin_mode_mixture(np.eye(1), np.int16(2))
+        assert mixture.vectors.tobytes() == fock.make_twin_mode_mixture(np.eye(1), 2).vectors.tobytes()
+        coherent = fock.make_coherent_pair(0.1, 0.1, np.uint8(4))
+        assert coherent.vectors.shape == (1, 25)
+        state = fock.MultimodeState((ModeLabel(H, 0, Port.A),), np.int64(3), one_hot(4))
+        assert state.dim == 4
+
 
 class TestTwinModeMixture:
     @staticmethod
@@ -754,6 +808,60 @@ class TestRotationCache:
             assert build.call_count == len(thetas) + 1
         assert len(fock._rotations) == fock._ROTATIONS_KEPT
 
+    def test_phases_are_built_once_per_phase_triple_over_a_ladder(self, monkeypatch):
+        monkeypatch.setattr(fock, "_phases", {})
+        ladder = (61, 3, 41, 9, 21, 5, 61, 17)  # the largest first
+        with mock.patch.object(fock, "_powers", wraps=fock._powers) as build:
+            for dim in ladder:
+                for convention in (fock.SYMMETRIC_I, fock.ROTATION):
+                    fock.pair_unitary(*self.coefficients(fock.BALANCED_ANGLE, convention), dim)
+        # the two conventions at one angle have different phases
+        assert build.call_count == len(fock._phases) == 2
+        assert all(table.shape == (3, 61) for table in fock._phases.values())
+
+    def test_a_growing_ladder_builds_only_while_it_grows(self, monkeypatch):
+        monkeypatch.setattr(fock, "_phases", {})
+        coefficients = self.coefficients(fock.BALANCED_ANGLE, fock.SYMMETRIC_I)
+        ladder = (3, 5, 9, 61)
+        with mock.patch.object(fock, "_powers", wraps=fock._powers) as build:
+            for _ in range(3):
+                for dim in ladder:
+                    fock.pair_unitary(*coefficients, dim)
+        assert build.call_count == len(ladder)
+
+    @pytest.mark.parametrize("convention", [fock.SYMMETRIC_I, fock.ROTATION])
+    @pytest.mark.parametrize("theta", [0.0, 0.9, np.pi / 2, 2.4])
+    def test_small_dim_phases_after_a_large_build_equal_a_fresh_build(self, theta, convention,
+                                                                      monkeypatch):
+        coefficients = self.coefficients(theta, convention)
+        monkeypatch.setattr(fock, "_phases", {})
+        fresh = fock.pair_unitary(*coefficients, 7)
+        monkeypatch.setattr(fock, "_phases", {})
+        fock.pair_unitary(*coefficients, 61)
+        sliced = fock.pair_unitary(*coefficients, 7)
+        for got, want in ((sliced[0], fresh[0]), (sliced[2], fresh[2])):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        again = fock.pair_unitary(*coefficients, 7)
+        for table in fock._phases.values():
+            assert not any(np.shares_memory(table, phases)
+                           for phases in (sliced[0], sliced[2], again[0], again[2]))
+        assert not np.shares_memory(sliced[0], again[0])
+
+    def test_the_oldest_phases_are_evicted_past_the_kept_count(self, monkeypatch):
+        # the mixing angles inside (0, pi/2) of one convention share their
+        # phases, so the maps here are one rotation after a phase q on mode d
+        c, s = np.cos(0.4), np.sin(0.4)
+        phases = [np.exp(0.5j * (i + 1)) for i in range(fock._PHASES_KEPT + 1)]
+        monkeypatch.setattr(fock, "_phases", {})
+        with mock.patch.object(fock, "_powers", wraps=fock._powers) as build:
+            for q in phases + phases[1:]:
+                fock.pair_unitary(c, -s * q, s, c * q, 6)
+            assert build.call_count == len(phases)
+            fock.pair_unitary(c, -s * phases[0], s, c * phases[0], 6)
+            assert build.call_count == len(phases) + 1
+        assert len(fock._phases) == fock._PHASES_KEPT
+
 
 class TestOccupiedSectors:
     """A scatter rotates only the range of sectors its state occupies, and
@@ -925,6 +1033,50 @@ class TestPortIndex:
             for state in states:
                 self.assert_matches_oracle(state, Port.C, Port.D)
                 self.assert_matches_oracle(state, Port.D, Port.C)
+
+
+class TestDifferenceLaw:
+    """number_difference_stats reads its offsets, values and squares from an
+    index kept per joint shape, and returns the law a comprehension over the
+    histogram's numpy scalars gives, key for key and in order."""
+
+    @staticmethod
+    def reference(joint):
+        size_c, size_d = joint.shape
+        offset = np.arange(size_c)[:, None] - np.arange(size_d) + (size_d - 1)
+        hist = np.bincount(offset.ravel(), weights=joint.ravel())
+        values = np.arange(1 - size_d, size_c)
+        mean = float(np.dot(hist, values))
+        variance = float(np.dot(hist, values.astype(float) ** 2) - mean**2)
+        distribution = {int(v): float(pr) for v, pr in zip(values, hist) if pr > 1e-12}
+        return distribution, mean, max(variance, 0.0)
+
+    @staticmethod
+    def states():
+        for seed in range(4):
+            yield TestPortIndex.random_state(seed, (Port.C, Port.D), 2 + seed)
+            yield TestPortIndex.random_state(seed, (Port.D, Port.C, Port.C, Port.D), 1 + seed % 3)
+            yield TestPortIndex.random_state(seed, (Port.C, Port.A, Port.D, Port.D), 2)
+        for n in (1, 3, 7):  # the odd differences of a twin Fock output are exactly empty
+            yield fock.apply_beam_splitter(fock.make_fock([n, n], 2 * n))
+            yield fock.apply_beam_splitter(fock.make_fock([n, 0], n), convention=fock.ROTATION)
+
+    def test_law_equals_the_comprehension(self):
+        for state in self.states():
+            stats = fock.number_difference_stats(state)
+            distribution, mean, variance = self.reference(fock.port_stats(state))
+            assert list(stats.distribution.items()) == list(distribution.items())
+            assert all(type(k) is int and type(v) is float for k, v in stats.distribution.items())
+            assert (stats.mean, stats.variance) == (mean, variance)
+
+    def test_index_is_kept_per_shape_and_read_only(self):
+        index = fock._difference_index(3, 5)
+        assert fock._difference_index(3, 5) is index
+        offset, values, squares = index
+        assert offset.tolist() == [c - d + 4 for c in range(3) for d in range(5)]
+        assert values.tolist() == list(range(-4, 3))
+        assert squares.tobytes() == (values.astype(float) ** 2).tobytes()
+        assert not any(array.flags.writeable for array in index)
 
 
 class TestBenchmarkHooks:
