@@ -20,14 +20,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One OpenBLAS thread unless the caller sets it: no command computes on a
+# second one, and starting its pool is most of the cost of importing numpy.
+# It must be set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import fock, spectra, tracefit
-from .errors import FitConvergenceError, TraceParseError, TwinbeamError, ValidationError
-from .modes import ModeLabel, Polarization, Port
+import numpy as np  # noqa: E402
+
+from . import fock, spectra, tracefit  # noqa: E402
+from .errors import FitConvergenceError, TraceParseError, TwinbeamError, ValidationError  # noqa: E402
+from .modes import ModeLabel, Polarization, Port  # noqa: E402
 
 EXIT_OK = 0
 EXIT_PARSE = 3

@@ -15,15 +15,15 @@ state is an ensemble of pure vectors, and an optic maps each of them alike.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, TruncationWarning, ValidationError
-from .modes import ModeLabel, Polarization, Port
+from .modes import ModeLabel, Polarization, Port, _integer, _member
 
 #: Mixing angle of a balanced (50/50) splitter.
 BALANCED_ANGLE = np.pi / 4
@@ -124,9 +124,6 @@ class MultimodeState:
         read-only (D,) array, summed when the state is made."""
         return self._probabilities
 
-    def ports(self) -> set[Port]:
-        return {m.spatial_port for m in self.modes}
-
 
 @dataclass(frozen=True)
 class ScatterOutcome:
@@ -150,12 +147,16 @@ def _occupations(dim: int, n_modes: int) -> np.ndarray:
 
 def _mode_label(m) -> ModeLabel:
     """``m`` as a ModeLabel; a tuple of its fields is unpacked into one."""
+    reason = ""
     try:
         if isinstance(m, (ModeLabel, tuple)):
             return m if isinstance(m, ModeLabel) else ModeLabel(*m)
-    except (TypeError, ValueError):
+    except TypeError:
         pass
-    raise ValidationError(f"mode label {m!r} is neither a ModeLabel nor a tuple of its fields")
+    except ValidationError as error:
+        reason = f": {error}"
+    raise ValidationError(
+        f"mode label {m!r} is neither a ModeLabel nor a tuple of its fields{reason}")
 
 
 @lru_cache(maxsize=len(Port) + 1)
@@ -171,15 +172,6 @@ def _mode_labels(modes, n: int) -> tuple[ModeLabel, ...]:
             raise ValidationError("explicit mode labels required for more than 4 modes")
         return _default_labels(n)
     return tuple(map(_mode_label, modes))
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a Python or numpy integer passes, anything else
-    (a float, even an integral one, a string, a NaN) is refused by name."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +424,23 @@ def pair_unitary(alpha, beta, gamma, delta, dim) -> tuple[np.ndarray, np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat pair index k*dim + n-k and padded-stack slot n*dim + k of every
-    |k, n-k> in the sectors n <= dim - 1."""
+def _sector_index(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat pair index k*dim + n-k, padded-stack slot n*dim + k and b
+    occupation n-k of every |k, n-k> in the sectors n <= dim - 1."""
     n, k = np.tril_indices(dim)
     pair, slot = k * dim + (n - k), n * dim + k
-    for index in (pair, slot):
+    b = pair % dim
+    for index in (pair, slot, b):
         index.setflags(write=False)
-    return pair, slot
+    return pair, slot, b
+
+
+@lru_cache(maxsize=64)
+def _axis_order(ndim: int, ax1: int, ax2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation that moves axes ax1, ax2 of an ndim array to the
+    front, the rest following in order, and its inverse."""
+    order = (ax1, ax2) + tuple(axis for axis in range(ndim) if axis not in (ax1, ax2))
+    return order, tuple(sorted(range(ndim), key=order.__getitem__))
 
 
 def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
@@ -456,12 +457,11 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
     on the b axis of the output, q1^j q2^k on both of its axes.
     """
     dim = tensor.shape[ax1]
-    pair, slot = _sector_index(dim)
-    order = [ax1, ax2] + [axis for axis in range(tensor.ndim) if axis not in (ax1, ax2)]
+    pair, slot, b = _sector_index(dim)
+    order, inverse = _axis_order(tensor.ndim, ax1, ax2)
     moved = tensor.transpose(order)
     stack = np.zeros((dim * dim, tensor.size // dim**2), dtype=np.complex128)
-    # the amplitude at pair index k*dim + m has m photons in b
-    stack[slot] = moved.reshape(dim * dim, -1)[pair] * phase_in[pair % dim, None]
+    stack[slot] = moved.reshape(dim * dim, -1)[pair] * phase_in[b, None]
     stack = stack.view(np.float64).reshape(dim, dim, -1)
     # a state of unit norm holds a non-zero amplitude in some sector
     occupied = np.flatnonzero(stack.any(axis=(1, 2)))
@@ -478,7 +478,7 @@ def _contract_pair(tensor: np.ndarray, ax1: int, ax2: int, phase_in: np.ndarray,
     out = np.multiply(moved, phase_in.reshape(dim, *spread), order="C")
     out.reshape(dim * dim, -1)[pair] = stack
     out *= phase_out.reshape(dim, dim, *spread)
-    return out.transpose(sorted(range(tensor.ndim), key=order.__getitem__))
+    return out.transpose(inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -507,43 +507,121 @@ def _plate_mixing_angle(theta: float) -> float:
     return 2.0 * theta
 
 
-def _scatter(state: MultimodeState, pairs, coefficients, moved) -> MultimodeState:
-    """Scatter each (i, j) label pair of ``pairs`` through the two-mode optic
-    with mode matrix ``coefficients``, then relabel every mode by ``moved``.
+class _Plan(NamedTuple):
+    """What a scatter reads of its state's mode layout, resolved once.
 
-    The probability each pair holds above the cutoff is read from the
-    state's kept probabilities before any work: above the leakage threshold
-    it raises CapacityError, otherwise it is added to the truncation
-    leakage. A label absent from the state enters as vacuum, appended in
-    pair order; its pair cannot overflow. The optic's phases and real
-    blocks are built once and shared by all pairs; the vectors go through
-    as one (K, dim, ..., dim) tensor, axis 0 the ensemble.
+    ``pairs`` are the (i, j) positions of each interfering pair in the
+    layout padded with the ``vacuum`` labels, which are appended in pair
+    order; ``present`` are the pairs whose two labels are both in the input,
+    in pair order, the only ones that can overflow; ``labels`` are the
+    padded layout's output labels.
     """
-    modes, dim = state.modes, state.dim
-    occ = _occupations(dim, state.n_modes)
+
+    pairs: tuple[tuple[int, int], ...]
+    vacuum: tuple[ModeLabel, ...]
+    present: tuple[tuple[int, int], ...]
+    labels: tuple[ModeLabel, ...]
+
+
+def _plan(modes: tuple[ModeLabel, ...], label_pairs, moved) -> _Plan:
+    """The plan that scatters each (i, j) label pair of ``label_pairs`` over
+    the layout ``modes`` and relabels every mode by ``moved``. A label
+    absent from the layout enters as a vacuum partner."""
+    padded = modes
+    for label in (label for pair in label_pairs for label in pair):
+        if label not in padded:
+            padded += (label,)
+    pairs = tuple((padded.index(i), padded.index(j)) for i, j in label_pairs)
+    n = len(modes)
+    return _Plan(pairs, padded[n:], tuple((i, j) for i, j in pairs if i < n and j < n),
+                 tuple(map(moved, padded)))
+
+
+@lru_cache(maxsize=64)
+def _splitter_plan(modes: tuple[ModeLabel, ...], p: Port, q: Port) -> _Plan:
+    """The plan of a beam splitter on input ports p, q over ``modes``: the
+    modes whose polarization and frequency tag match across the two ports
+    pair up, in the order of their keys, and a and b leave by c and d."""
+    keys = sorted({m.interference_key for m in modes if m.spatial_port in (p, q)}, key=str)
+    if not keys:
+        raise ValidationError(f"no modes on ports {p.value!r}, {q.value!r}")
+    return _plan(
+        modes,
+        [(ModeLabel(*key, p), ModeLabel(*key, q)) for key in keys],
+        lambda m: m.moved_to(_OUTPUT_PORT[m.spatial_port]) if m.spatial_port in (p, q) else m,
+    )
+
+
+@lru_cache(maxsize=32)
+def _plate_plan(modes: tuple[ModeLabel, ...]) -> _Plan:
+    """The plan of a wave plate and polarizer over ``modes``, all on one
+    path: H pairs with V of each frequency tag in tag order, and H leaves by
+    c, V by d."""
+    ports = {m.spatial_port for m in modes}
+    if len(ports) != 1:
+        raise ValidationError("waveplate input must sit on a single spatial path")
+    (path,) = ports
+    return _plan(
+        modes,
+        [(ModeLabel(Polarization.H, tag, path), ModeLabel(Polarization.V, tag, path))
+         for tag in sorted({m.frequency_tag for m in modes})],
+        lambda m: m.moved_to(Port.C if m.polarization == Polarization.H else Port.D),
+    )
+
+
+@lru_cache(maxsize=64)
+def _overflow_mask(dim: int, n_modes: int, i: int, j: int) -> np.ndarray:
+    """The read-only mask of the basis states whose modes i, j hold more
+    than dim - 1 photons together."""
+    occ = _occupations(dim, n_modes)
+    mask = occ[i] + occ[j] >= dim
+    mask.setflags(write=False)
+    return mask
+
+
+def _scatter(state: MultimodeState, plan: _Plan, coefficients) -> MultimodeState:
+    """Scatter each pair of ``plan`` through the two-mode optic with mode
+    matrix ``coefficients``, and label the output by the plan.
+
+    The probability each pair present in the input holds above the cutoff
+    is read from the state's kept probabilities before any work: above the
+    leakage threshold it raises CapacityError, otherwise it is added to the
+    truncation leakage. The vacuum partners are padded in after that; their
+    pairs cannot overflow. The optic's phases and real blocks are built once
+    and shared by all pairs; the vectors go through as one
+    (K, dim, ..., dim) tensor, axis 0 the ensemble.
+    """
+    dim, n_modes = state.dim, state.n_modes
     leakage = state.truncation_leakage
-    for label_i, label_j in pairs:
-        if label_i in modes and label_j in modes:
-            i, j = modes.index(label_i), modes.index(label_j)
-            weight = float(state.probabilities()[occ[i] + occ[j] >= dim].sum())
-            if weight > LEAKAGE_THRESHOLD:
-                raise CapacityError(
-                    f"interfering pair carries probability {weight:.3g} above cutoff "
-                    f"{dim - 1}; rebuild the state with a larger cutoff"
-                )
-            leakage += weight
-    tensor = state.vectors.reshape((-1,) + (dim,) * state.n_modes)
-    for label in (label for pair in pairs for label in pair):
-        if label not in modes:
-            padded = np.zeros(tensor.shape + (dim,), dtype=np.complex128)
-            padded[..., 0] = tensor
-            tensor, modes = padded, modes + (label,)
+    for i, j in plan.present:
+        weight = float(state.probabilities()[_overflow_mask(dim, n_modes, i, j)].sum())
+        if weight > LEAKAGE_THRESHOLD:
+            raise CapacityError(
+                f"interfering pair carries probability {weight:.3g} above cutoff "
+                f"{dim - 1}; rebuild the state with a larger cutoff"
+            )
+        leakage += weight
+    tensor = state.vectors.reshape((-1,) + (dim,) * n_modes)
+    if plan.vacuum:
+        # a vacuum partner holds no photon: the input sits at its occupation 0
+        pad = len(plan.vacuum)
+        padded = np.zeros(tensor.shape + (dim,) * pad, dtype=np.complex128)
+        padded[(Ellipsis,) + (0,) * pad] = tensor
+        tensor = padded
     optic = pair_unitary(*coefficients, dim)
-    for label_i, label_j in pairs:
-        i, j = modes.index(label_i), modes.index(label_j)
+    for i, j in plan.pairs:
         tensor = _contract_pair(tensor, i + 1, j + 1, *optic)
-    return MultimodeState._adopt(tuple(map(moved, modes)), state.cutoff,
+    return MultimodeState._adopt(plan.labels, state.cutoff,
                                  tensor.reshape(len(tensor), -1), leakage)
+
+
+def _port_pair(port_pair) -> tuple[Port, Port]:
+    """``port_pair`` as exactly two ports; anything else is refused by name."""
+    try:
+        p, q = port_pair
+    except (TypeError, ValueError):
+        raise ValidationError(f"port_pair must be two ports, got {port_pair!r}") from None
+    return _member(Port, p, "port_pair[0]"), _member(Port, q, "port_pair[1]")
 
 
 def apply_beam_splitter(
@@ -559,11 +637,12 @@ def apply_beam_splitter(
     partner added on the opposite port. Input ports a, b are relabeled to
     output ports c, d, while c and d stay c and d, so the two ports must land
     on different outputs: the pairs {a, c} and {b, d} are refused, and so
-    is a NaN or infinite mixing angle.
+    is a NaN or infinite mixing angle. Which modes pair up, and how they
+    are labelled after, is worked out once per mode layout and port pair.
     """
     if not math.isfinite(mixing_angle):
         raise ValidationError(f"mixing_angle must be finite, got {mixing_angle}")
-    p, q = Port(port_pair[0]), Port(port_pair[1])
+    p, q = _port_pair(port_pair)
     if p == q:
         raise ValidationError("beam splitter needs two distinct ports")
     if _OUTPUT_PORT[p] == _OUTPUT_PORT[q]:
@@ -571,15 +650,8 @@ def apply_beam_splitter(
             f"ports {p.value!r} and {q.value!r} would both leave by output port "
             f"{_OUTPUT_PORT[p].value!r}: a and b become c and d, and c and d stay c and d"
         )
-    keys = sorted({m.interference_key for m in state.modes if m.spatial_port in (p, q)}, key=str)
-    if not keys:
-        raise ValidationError(f"no modes on ports {p.value!r}, {q.value!r}")
-    return _scatter(
-        state,
-        [(ModeLabel(*key, p), ModeLabel(*key, q)) for key in keys],
-        _pair_coefficients(mixing_angle, convention),
-        lambda m: m.moved_to(_OUTPUT_PORT[m.spatial_port]) if m.spatial_port in (p, q) else m,
-    )
+    plan = _splitter_plan(state.modes, p, q)
+    return _scatter(state, plan, _pair_coefficients(mixing_angle, convention))
 
 
 def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeState:
@@ -591,18 +663,8 @@ def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeS
     A NaN or infinite theta, or one whose double overflows, is refused.
     """
     mixing_angle = _plate_mixing_angle(theta)
-    ports = state.ports()
-    if len(ports) != 1:
-        raise ValidationError("waveplate input must sit on a single spatial path")
-    (path,) = ports
-    pairs = [(ModeLabel(Polarization.H, tag, path), ModeLabel(Polarization.V, tag, path))
-             for tag in sorted({m.frequency_tag for m in state.modes})]
-    return _scatter(
-        state,
-        pairs,
-        _pair_coefficients(mixing_angle, ROTATION),
-        lambda m: m.moved_to(Port.C if m.polarization == Polarization.H else Port.D),
-    )
+    plan = _plate_plan(state.modes)
+    return _scatter(state, plan, _pair_coefficients(mixing_angle, ROTATION))
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +676,14 @@ def apply_waveplate_polarizer(state: MultimodeState, theta: float) -> MultimodeS
 def _port_index(dim: int, ports: tuple[Port, ...], port_c, port_d) -> tuple[np.ndarray, int, int]:
     """The flat index n_c * size_d + n_d of every occupation-basis state,
     for modes on ``ports`` and photon numbers summed per port, with the
-    sizes cutoff * (modes on the port) + 1."""
+    sizes cutoff * (modes on the port) + 1. Two equal ports, or a name that
+    is not a port, are refused by name."""
+    port_c, port_d = _member(Port, port_c, "port_c"), _member(Port, port_d, "port_d")
+    if port_c == port_d:
+        raise ValidationError(f"port_c and port_d must differ, got {port_c.value!r} for both")
     occ = _occupations(dim, len(ports))
-    sel_c = np.array([port == Port(port_c) for port in ports], dtype=bool)
-    sel_d = np.array([port == Port(port_d) for port in ports], dtype=bool)
+    sel_c = np.array([port == port_c for port in ports], dtype=bool)
+    sel_d = np.array([port == port_d for port in ports], dtype=bool)
     size_c = (dim - 1) * int(sel_c.sum()) + 1
     size_d = (dim - 1) * int(sel_d.sum()) + 1
     index = occ[sel_c].sum(axis=0) * size_d + occ[sel_d].sum(axis=0)

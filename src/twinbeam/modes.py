@@ -5,8 +5,11 @@ frequency tags match; distinct tags model beams that are fully
 distinguishable (for example, separated by a cavity free spectral range).
 """
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+
+from .errors import ValidationError
 
 
 class Polarization(str, Enum):
@@ -21,6 +24,24 @@ class Port(str, Enum):
     D = "d"
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a Python or numpy integer passes, anything else
+    (a float, even an integral one, a string, a NaN) is refused by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _member(kind: type[Enum], value, name: str):
+    """``value`` as a member of ``kind``; anything else is refused by name."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(repr(member.value) for member in kind)
+        raise ValidationError(f"{name} must be one of {allowed}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ModeLabel:
     polarization: Polarization = Polarization.H
@@ -28,9 +49,10 @@ class ModeLabel:
     spatial_port: Port = Port.A
 
     def __post_init__(self):
-        object.__setattr__(self, "polarization", Polarization(self.polarization))
-        object.__setattr__(self, "spatial_port", Port(self.spatial_port))
-        object.__setattr__(self, "frequency_tag", int(self.frequency_tag))
+        object.__setattr__(self, "polarization",
+                           _member(Polarization, self.polarization, "polarization"))
+        object.__setattr__(self, "spatial_port", _member(Port, self.spatial_port, "spatial_port"))
+        object.__setattr__(self, "frequency_tag", _integer(self.frequency_tag, "frequency_tag"))
 
     @property
     def interference_key(self) -> tuple:

@@ -367,6 +367,21 @@ class TestBeamSplitter:
         assert {m.spatial_port for m in out.modes} == {Port.C, Port.D}
         assert fock.coincidence_probability(out) <= 1e-12
 
+    @pytest.mark.parametrize("port_pair, message", [
+        (("a", "b", "c"), "port_pair must be two ports, got ('a', 'b', 'c')"),
+        (("a",), "port_pair must be two ports, got ('a',)"),
+        (Port.A, "port_pair must be two ports, got <Port.A: 'a'>"),
+        (7, "port_pair must be two ports, got 7"),
+        (("x", "b"), "port_pair[0] must be one of 'a', 'b', 'c', 'd', got 'x'"),
+        ((Port.A, None), "port_pair[1] must be one of 'a', 'b', 'c', 'd', got None"),
+    ])
+    def test_a_port_pair_that_is_not_two_ports_is_refused_by_name(self, port_pair, message,
+                                                                  monkeypatch):
+        # ("a", "b", "c") used to drop "c", ("a",) to raise IndexError
+        monkeypatch.setattr(fock, "_scatter", lambda *args: pytest.fail("scattered"))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            fock.apply_beam_splitter(fock.make_fock([1, 1], 2), port_pair=port_pair)
+
 
 class TestWaveplatePolarizer:
     def pair(self, n_h, n_v, cutoff, tag_v=0):
@@ -1025,6 +1040,22 @@ class TestPortIndex:
         for port_c, port_d in ((Port.C, Port.D), (Port.D, Port.C), ("c", "d"), (Port.A, Port.C)):
             self.assert_matches_oracle(state, port_c, port_d)
 
+    @pytest.mark.parametrize("reader", [
+        fock.port_stats, fock.number_difference_stats,
+        fock.coincidence_probability, fock.joint_port_distribution,
+    ], ids=lambda reader: reader.__name__)
+    @pytest.mark.parametrize("ports, message", [
+        (("c", "c"), "port_c and port_d must differ, got 'c' for both"),
+        ((Port.D, "d"), "port_c and port_d must differ, got 'd' for both"),
+        (("q", "d"), "port_c must be one of 'a', 'b', 'c', 'd', got 'q'"),
+        ((Port.C, "x"), "port_d must be one of 'a', 'b', 'c', 'd', got 'x'"),
+    ])
+    def test_one_port_twice_or_a_non_port_is_refused_by_name(self, reader, ports, message):
+        # the HOM output |2,0> + |0,2> read c against c as a coincidence of 0.5
+        out = fock.apply_beam_splitter(fock.make_fock([1, 1], 2))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            reader(out, *ports)
+
     def test_layouts_of_one_dim_called_alternately(self):
         layouts = [(Port.C, Port.D, Port.C), (Port.D, Port.C, Port.C), (Port.C, Port.C, Port.D),
                    (Port.C, Port.D, Port.A, Port.D)]
@@ -1107,3 +1138,102 @@ class TestBenchmarkHooks:
         assert all(args[0] is out for _, args, _ in calls[1:])
         assert stats.variance == pytest.approx(12.0, rel=1e-12)
         assert coincidence == pytest.approx(sum(p for (c, d), p in joint.items() if c and d))
+
+
+class TestScatterPlans:
+    """Which modes pair up, which vacuum partners are padded in and how each
+    mode is labelled after depend only on the mode layout, so each optic
+    resolves them once per layout and a scatter reads the plan."""
+
+    PLATE_MODES = (ModeLabel(H, 0, Port.A), ModeLabel(V, 0, Port.A))
+
+    @staticmethod
+    def clear_every_cache():
+        for value in vars(fock).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        fock._rotations.clear()
+        fock._phases.clear()
+
+    def test_each_layout_is_planned_once_over_a_ladder(self):
+        self.clear_every_cache()
+        ladder = (1, 2, 4, 7)
+        for n in ladder:
+            for convention in (fock.SYMMETRIC_I, fock.ROTATION):
+                fock.apply_beam_splitter(fock.make_fock([n, n], 2 * n), convention=convention)
+                fock.apply_beam_splitter(distinguishable_pair(n, n, 2 * n), convention=convention)
+            fock.apply_waveplate_polarizer(
+                fock.make_fock([n, n], 2 * n, modes=self.PLATE_MODES), np.pi / 8)
+        splitter = fock._splitter_plan.cache_info()
+        assert (splitter.misses, splitter.hits) == (2, 4 * len(ladder) - 2)
+        plate = fock._plate_plan.cache_info()
+        assert (plate.misses, plate.hits) == (1, len(ladder) - 1)
+        # one overflow mask per dim: the distinguishable pairs meet vacuum
+        # and cannot overflow, and the plate's pair sits where the splitter's does
+        assert fock._overflow_mask.cache_info().misses == len(ladder)
+
+    def test_a_refused_layout_raises_on_every_call_and_is_not_kept(self):
+        self.clear_every_cache()
+        on_c = fock.make_fock([1], 1, modes=(ModeLabel(H, 0, Port.C),))
+        two_paths = fock.make_fock([1, 1], 2)
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="no modes on ports 'a', 'b'"):
+                fock.apply_beam_splitter(on_c)
+            with pytest.raises(ValidationError, match="single spatial path"):
+                fock.apply_waveplate_polarizer(two_paths, 0.3)
+        assert fock._splitter_plan.cache_info().currsize == 0
+        assert fock._plate_plan.cache_info().currsize == 0
+
+    def test_states_on_one_layout_share_one_plan_of_tuples(self):
+        modes = (ModeLabel(H, 0, Port.A), ModeLabel(H, 1, Port.B), ModeLabel(V, 0, Port.A))
+        one = fock.make_fock([1, 2, 0], 4, modes=modes)
+        # equal labels, built apart, on another cutoff
+        other = fock.make_fock([0, 1, 1], 2, modes=tuple(
+            ModeLabel(m.polarization, m.frequency_tag, m.spatial_port) for m in modes))
+        plan = fock._splitter_plan(one.modes, Port.A, Port.B)
+        assert fock._splitter_plan(other.modes, Port.A, Port.B) is plan
+        assert all(type(field) is tuple for field in plan)
+        assert all(type(pair) is tuple for pair in plan.pairs + plan.present)
+        # H0, H1 and V0 pair in key order against the vacuum partners H0@b, H1@a, V0@b
+        assert plan.pairs == ((0, 3), (4, 1), (2, 5))
+        assert plan.vacuum == (ModeLabel(H, 0, Port.B), ModeLabel(H, 1, Port.A),
+                               ModeLabel(V, 0, Port.B))
+        assert plan.present == ()
+        assert fock.apply_beam_splitter(one).modes == plan.labels
+        assert [str(m) for m in plan.labels] == ["H0@c", "H1@d", "V0@c", "H0@d", "H1@c", "V0@d"]
+
+    @staticmethod
+    def leaky_ensemble(modes, cutoff, seed):
+        """Two random vectors on ``modes`` that keep their total photon number
+        at or below the cutoff but for a weight of about 1e-12 above it."""
+        rng = np.random.default_rng(seed)
+        total = fock._occupations(cutoff + 1, len(modes)).sum(axis=0)
+        vectors = rng.normal(size=(2, total.size)) + 1j * rng.normal(size=(2, total.size))
+        vectors[:, total > cutoff] *= 1e-7
+        return fock.MultimodeState(modes, cutoff, vectors / np.linalg.norm(vectors))
+
+    def scatters(self):
+        """(name, scatter); every layout but the first has a pair present
+        in its input, which adds to the leakage."""
+        yield "2 modes, distinguishable", lambda: fock.apply_beam_splitter(
+            self.leaky_ensemble((ModeLabel(H, 0, Port.A), ModeLabel(H, 1, Port.B)), 3, 1),
+            mixing_angle=0.3)
+        yield "3 modes, one partner", lambda: fock.apply_beam_splitter(
+            self.leaky_ensemble((ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B),
+                                 ModeLabel(V, 0, Port.A)), 3, 2), convention=fock.ROTATION)
+        yield "4 modes, two partners", lambda: fock.apply_beam_splitter(
+            self.leaky_ensemble((ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B),
+                                 ModeLabel(V, 1, Port.A), ModeLabel(H, 2, Port.B)), 2, 3))
+        yield "plate, 3 modes", lambda: fock.apply_waveplate_polarizer(
+            self.leaky_ensemble((ModeLabel(H, 0, Port.A), ModeLabel(V, 0, Port.A),
+                                 ModeLabel(V, 1, Port.A)), 3, 4), 0.4)
+
+    def test_a_scatter_after_every_cache_is_cleared_is_byte_identical(self):
+        for name, scatter in self.scatters():
+            warm = scatter()
+            self.clear_every_cache()
+            cold = scatter()
+            assert (warm.truncation_leakage > 0.0) == (not name.startswith("2 modes")), name
+            assert cold.vectors.tobytes() == warm.vectors.tobytes(), name
+            assert cold.modes == warm.modes, name
+            assert cold.truncation_leakage == warm.truncation_leakage, name
