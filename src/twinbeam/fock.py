@@ -525,16 +525,20 @@ class _Plan(NamedTuple):
 
 def _plan(modes: tuple[ModeLabel, ...], label_pairs, moved) -> _Plan:
     """The plan that scatters each (i, j) label pair of ``label_pairs`` over
-    the layout ``modes`` and relabels every mode by ``moved``. A label
-    absent from the layout enters as a vacuum partner."""
+    the layout ``modes`` and relabels every mode by ``moved``. A label absent
+    from the layout enters as a vacuum partner; colliding outputs are refused."""
     padded = modes
     for label in (label for pair in label_pairs for label in pair):
         if label not in padded:
             padded += (label,)
+    labels = tuple(map(moved, padded))
+    for label, out in zip(padded, labels):
+        if out != label and labels.count(out) > 1:
+            raise ValidationError(f"{label} leaves by {out.spatial_port.value} onto {out}, "
+                                  "which another mode holds: output labels must be distinct")
     pairs = tuple((padded.index(i), padded.index(j)) for i, j in label_pairs)
     n = len(modes)
-    return _Plan(pairs, padded[n:], tuple((i, j) for i, j in pairs if i < n and j < n),
-                 tuple(map(moved, padded)))
+    return _Plan(pairs, padded[n:], tuple((i, j) for i, j in pairs if i < n and j < n), labels)
 
 
 @lru_cache(maxsize=64)

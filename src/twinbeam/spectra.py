@@ -383,30 +383,3 @@ def physical_frequency_curve(params: OpoParams, nu_hz, which: str = "intensity")
     with np.errstate(over="ignore"):
         u = nu / params.delta_hz
     return SpectrumCurve(nu, np.asarray(_MODELS[which](u, params.xi), dtype=float), RELATIVE)
-
-
-# ---------------------------------------------------------------------------
-# Bridge to the quadrature picture
-# ---------------------------------------------------------------------------
-
-
-def opo_quadrature_covariance(u: float, xi: float) -> np.ndarray:
-    """4x4 covariance of (dX_a, dP_a, dX_b, dP_b) matching the model at u.
-
-    Built in the sum/difference basis: the difference quadratures carry the
-    squeezed and antisqueezed spectra, the sum quadratures mirror them so
-    that each pair saturates the same uncertainty product and the matrix is
-    a valid quantum covariance for every u > 0.
-    """
-    s_x = intensity_diff_spectrum(u, xi)
-    s_p = phase_diff_spectrum(u, xi)
-    plus_minus = np.diag([s_p, s_x, s_x, s_p]) * 0.5  # (x+, p+, x-, p-)
-    r = np.array(
-        [
-            [1.0, 0.0, 1.0, 0.0],
-            [0.0, 1.0, 0.0, 1.0],
-            [1.0, 0.0, -1.0, 0.0],
-            [0.0, 1.0, 0.0, -1.0],
-        ]
-    ) / np.sqrt(2.0)
-    return r @ plus_minus @ r.T

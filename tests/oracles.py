@@ -5,8 +5,10 @@ unitary is built here from ladder-operator matrices and an eigendecomposition
 exponential, distributions from exact dyadic binomials, Poisson tails
 from compensated summation, spectrum fits from a grid search and from
 the damped least-squares loop as it stood before the bound step, started
-from the fit's guess as numpy calls compute it, and the fit's damped step
-by projecting S0's Jacobian row out of the others.
+from the fit's guess as numpy calls compute it, the fit's damped step
+by projecting S0's Jacobian row out of the others, the Gaussian
+number-difference variance by trace formulas, and the OPO noise spectra
+from the cavity's Langevin equations rather than their closed forms.
 """
 
 import math
@@ -253,6 +255,111 @@ def tmsv_fourth_moment(r: float, mixing_angle: float) -> float:
     splitter at ``mixing_angle`` t, either convention, sin^2(2t) sinh^2(2r)
     (Isserlis' theorem on the Wigner function plus the ordering term)."""
     return math.sin(2.0 * mixing_angle) ** 2 * math.sinh(2.0 * r) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Gaussian states of two modes: quadratures q = (X_a, P_a, X_b, P_b) with
+# X = (a + a+)/sqrt(2), P = i(a+ - a)/sqrt(2), vacuum covariance I/2
+# ---------------------------------------------------------------------------
+
+#: Symplectic form of the (X_a, P_a, X_b, P_b) ordering.
+OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def difference_quadrature_stds(cov) -> tuple[float, float]:
+    """(dX_minus, dP_minus): the stds of X_a - X_b and P_a - P_b, read from
+    the covariance by quadratic form. Both are 1 at vacuum, and their
+    product is at least 1 for every valid covariance."""
+    x_minus, p_minus = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
+    return tuple(math.sqrt(max(float(v @ cov @ v), 0.0)) for v in (x_minus, p_minus))
+
+
+def number_difference_form(theta: float) -> np.ndarray:
+    """The 4x4 H with n_c - n_d = (1/2) q' H q + const, after the symmetric-i
+    splitter at mixing angle 2 theta, whose mode matrix is read from
+    ``fock._pair_coefficients``.
+
+    The output operators are c = alpha a + gamma b and d = beta a + delta b,
+    so n_c - n_d = z+ K z with z = (a, b) and K the Hermitian
+    conj(r_c) r_c' - conj(r_d) r_d', r_c = (alpha, gamma), r_d = (beta, delta).
+    With a_j = (X_j + i P_j)/sqrt(2), the (j, k) block of H is
+    [[Re K, -Im K], [Im K, Re K]].
+    """
+    from twinbeam import fock
+
+    alpha, beta, gamma, delta = fock._pair_coefficients(2.0 * theta, fock.SYMMETRIC_I)
+    r_c, r_d = np.array([alpha, gamma]), np.array([beta, delta])
+    k = np.outer(r_c.conj(), r_c) - np.outer(r_d.conj(), r_d)
+    h = np.empty((4, 4))
+    h[0::2, 0::2] = h[1::2, 1::2] = k.real
+    h[0::2, 1::2], h[1::2, 0::2] = -k.imag, k.imag
+    return h
+
+
+def gaussian_number_difference(mean_a: complex, mean_b: complex, cov,
+                               theta: float) -> tuple[float, float]:
+    """Var(n_c - n_d) of the Gaussian state with mean fields ``mean_a``,
+    ``mean_b`` and covariance ``cov`` after the splitter of
+    :func:`number_difference_form`, as (linear, fourth): the linear term
+    (H m)' V (H m) with m the mean of q, and the fourth-moment term
+    (1/2) Tr(HVHV) + (1/8) Tr(H Omega H Omega) (Isserlis' theorem on the
+    Wigner function, plus the ordering term of the Moyal product). The
+    exact variance is their sum; the fourth-moment term is 0 at vacuum.
+    """
+    h, v = number_difference_form(theta), np.asarray(cov, dtype=float)
+    m = math.sqrt(2.0) * np.array([complex(mean_a), complex(mean_b)]).view(np.float64)
+    gradient = h @ m
+    hv, ho = h @ v, h @ OMEGA
+    return float(gradient @ v @ gradient), float(0.5 * np.trace(hv @ hv) + np.trace(ho @ ho) / 8.0)
+
+
+def opo_difference_mode_spectra(transmissivity: float, loss: float,
+                                free_spectral_range: float, omega: float) -> np.ndarray:
+    """The 2x2 output noise spectrum of the difference mode (x, p) of an
+    above-threshold OPO, in shot-noise units, at angular frequency ``omega``,
+    from its linearised Langevin equations and the input-output relation
+    (Collett & Gardiner, PRA 30, 1386 (1984); Reynaud, Fabre & Giacobino,
+    JOSA B 4, 1520 (1987)), complex as computed:
+
+        dq/dt = -K q + sqrt(T D) q_T + sqrt(A D) q_A,    q_out = sqrt(T D) q - q_T,
+
+    with K = diag(kappa, 0) and kappa = (T + A) D: the amplitude difference x
+    is damped at the cavity's rate, while the phase difference p has no
+    restoring force and diffuses. Vacuum of unit spectrum enters through the
+    coupler (q_T) and through the loss (q_A). In the Fourier domain
+    q = (K - i omega)^-1 (sqrt(T D) q_T + sqrt(A D) q_A), so
+    q_out = G_T q_T + G_A q_A and the spectrum is G_T G_T^H + G_A G_A^H.
+    """
+    rate_t, rate_a = transmissivity * free_spectral_range, loss * free_spectral_range
+    drift = np.diag([(transmissivity + loss) * free_spectral_range, 0.0])
+    response = np.linalg.inv(drift - 1j * omega * np.eye(2))
+    g_t = rate_t * response - np.eye(2)
+    g_a = math.sqrt(rate_t * rate_a) * response
+    return g_t @ g_t.conj().T + g_a @ g_a.conj().T
+
+
+def opo_covariance(u: float, xi: float) -> np.ndarray:
+    """Covariance of (X_a, P_a, X_b, P_b) of the twin beams at analysis
+    frequency u = nu / delta, with correlation coefficient xi.
+
+    The difference block, of X_- = (X_a - X_b)/sqrt(2) and
+    P_- = (P_a - P_b)/sqrt(2), is half of :func:`opo_difference_mode_spectra`
+    for the cavity T = xi, A = 1 - xi, D = 1, read at omega = u kappa. The
+    sum block is assumed to mirror it, X_+ and P_+ taking the P_- and X_-
+    entries, so that each pair has the same uncertainty product; the sum
+    mode's own dynamics are not derived here.
+    """
+    # kappa = (T + A) D = 1, so omega = u kappa = u
+    spectrum = opo_difference_mode_spectra(xi, 1.0 - xi, 1.0, u).real
+    sum_minus = np.zeros((4, 4))  # (X_+, P_+, X_-, P_-)
+    sum_minus[:2, :2] = 0.5 * spectrum[::-1, ::-1]
+    sum_minus[2:, 2:] = 0.5 * spectrum
+    # X_a = (X_+ + X_-)/sqrt(2), X_b = (X_+ - X_-)/sqrt(2), likewise P
+    r = np.array([[1.0, 0.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 1.0],
+                  [1.0, 0.0, -1.0, 0.0],
+                  [0.0, 1.0, 0.0, -1.0]]) / math.sqrt(2.0)
+    return r @ sum_minus @ r.T
 
 
 def poisson_tail(mean: float, cutoff: int) -> float:

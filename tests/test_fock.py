@@ -1184,6 +1184,21 @@ class TestScatterPlans:
         assert fock._splitter_plan.cache_info().currsize == 0
         assert fock._plate_plan.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("occupations", [[1, 1, 0], [2, 2, 0]],
+                             ids=["fits", "also_overflows"])
+    def test_colliding_output_labels_are_refused_before_any_amplitude_work(self, occupations):
+        # H0@a leaves by c onto the H0@c already there; the refusal comes
+        # before the overflow check of the a, b pair and before any rotation
+        self.clear_every_cache()
+        modes = (ModeLabel(H, 0, Port.A), ModeLabel(H, 0, Port.B), ModeLabel(H, 0, Port.C))
+        state = fock.make_fock(occupations, 2, modes=modes)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=re.escape(
+                    "H0@a leaves by c onto H0@c, which another mode holds")):
+                fock.apply_beam_splitter(state)
+        assert fock._rotations == {}
+        assert fock._splitter_plan.cache_info().currsize == 0
+
     def test_states_on_one_layout_share_one_plan_of_tuples(self):
         modes = (ModeLabel(H, 0, Port.A), ModeLabel(H, 1, Port.B), ModeLabel(V, 0, Port.A))
         one = fock.make_fock([1, 2, 0], 4, modes=modes)

@@ -1,7 +1,9 @@
-"""Import graph: the package root loads nothing, the CLI only what it calls."""
+"""Import graph: the package root loads nothing, the CLI only what it calls,
+and no module loads a test-only dependency."""
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +15,10 @@ import twinbeam
 SRC = str(Path(twinbeam.__file__).resolve().parents[1])
 
 
-def loaded_submodules(module: str) -> set:
-    """``twinbeam`` submodules in ``sys.modules`` after a fresh ``import module``."""
-    code = (f"import sys, json, {module}; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('twinbeam.'))))")
+def loaded_modules(module: str) -> set:
+    """Every name in ``sys.modules`` after a fresh ``import module``; a
+    comma-separated list imports each."""
+    code = f"import sys, json, {module}; print(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -28,9 +30,18 @@ def loaded_submodules(module: str) -> set:
     ("twinbeam", set()),
     ("twinbeam.cli", {f"twinbeam.{name}" for name in
                       ("errors", "modes", "fock", "spectra", "tracefit", "cli")}),
+    ("twinbeam.quadratures", {f"twinbeam.{name}" for name in
+                              ("errors", "modes", "fock", "quadratures")}),
 ])
 def test_fresh_import_loads_exactly(module, expected):
-    assert loaded_submodules(module) == expected
+    assert {m for m in loaded_modules(module) if m.startswith("twinbeam.")} == expected
+
+
+def test_no_module_loads_scipy():
+    # scipy is a test dependency: the oracles use it, the package must not
+    modules = [f"twinbeam.{m.name}" for m in pkgutil.iter_modules(twinbeam.__path__)]
+    assert "twinbeam.cli" in modules
+    assert not {m for m in loaded_modules(", ".join(modules)) if m.split(".")[0] == "scipy"}
 
 
 def fresh_import(module: str, **env) -> dict:

@@ -303,15 +303,6 @@ class TestPhysicalFrequencyCurve:
         assert lines[1].endswith(",relative")
 
 
-class TestQuadratureBridge:
-    def test_covariance_is_valid_inside_linewidth(self):
-        from twinbeam.quadratures import validate_covariance
-
-        for u in (0.1, 0.5, 1.0, 5.0):
-            for xi in (0.25, 0.72, 1.0):
-                validate_covariance(spectra.opo_quadrature_covariance(u, xi))
-
-
 class TestCsvTable:
     any_float = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
