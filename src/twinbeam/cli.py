@@ -267,10 +267,8 @@ def cmd_uncertainty(args, config) -> int:
 def cmd_synth(args, config) -> int:
     params = _params_from_args(args)
     nu = _grid_from_args(args, config)
-    trace = tracefit.synth_trace(
-        params, which=args.which, grid=nu, noise_db=args.noise_db,
-        seed=args.seed, rbw_hz=args.rbw_hz, label=args.label,
-    )
+    trace = tracefit.synth_trace(params, args.which, nu, noise_db=args.noise_db,
+                                 seed=args.seed, rbw_hz=args.rbw_hz, label=args.label)
     _emit(tracefit.trace_to_csv(trace), args.output)
     return EXIT_OK
 

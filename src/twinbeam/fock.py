@@ -40,7 +40,7 @@ _NORM_TOL = 1e-8
 _OUTPUT_PORT = {Port.A: Port.C, Port.B: Port.D, Port.C: Port.C, Port.D: Port.D}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultimodeState:
     """A state over a truncated multimode occupation basis, stored as an
     ensemble of unnormalised pure vectors.

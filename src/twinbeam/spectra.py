@@ -98,7 +98,7 @@ class OpoParams:
         return cls(0.5 * xi, 0.5 * (1.0 - xi), 4.0 * np.pi * delta_hz, s0_dbm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumCurve:
     """Frequency samples with a mandatory unit tag (relative power or dBm)."""
 

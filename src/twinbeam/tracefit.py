@@ -42,7 +42,7 @@ TECHNICAL_NOISE_CUTOFF_HZ = 2.0e6
 #: a 200 kHz band around it.
 MODULATION_SPUR_BAND_HZ = (3.8e6, 4.0e6)
 
-#: Default synthetic and CLI frequency grid (start, stop, step in Hz): 317 points.
+#: The CLI's default frequency grid (start, stop, step in Hz): 317 points.
 DEFAULT_GRID_HZ = (0.5e6, 10.0e6, 30e3)
 
 #: Most points a grid may hold: about 100 times a 95 001-point measured trace.
@@ -65,11 +65,12 @@ _LAMBDA0 = 1e-3
 _LAMBDA_FACTOR = 10.0
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_MAX = float(np.finfo(float).max)
 
 _LOG10_SCALE = 10.0 / np.log(10.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumTrace:
     """Ordered (frequency, power) samples with resolution-bandwidth metadata."""
 
@@ -150,7 +151,7 @@ class FitConfig:
         return cls(**base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Recovered model parameters and residual statistics."""
 
@@ -223,29 +224,23 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
 
 
 def load_trace(source) -> SpectrumTrace:
-    """Parse a trace from a path, byte stream, or text.
+    """Parse a trace from a stream or a file.
 
-    A ``Path`` is always a file. A ``str`` is CSV text when it contains a
-    newline or starts with ``#`` or with the header, and a file name
-    otherwise. A file is read once as text, which gives the lines before
+    A ``source`` with a ``read`` method is a stream of the CSV text or of
+    its UTF-8 bytes; any other is a file path (``str`` or path-like), as
+    with ``open``. A file is read once as text, which gives the lines before
     the body and decides how the body is read; where that text allows,
     numpy reads the file a second time for the body (see :func:`_parse`).
     Malformed rows are rejected with their line number; frequencies must be
     strictly increasing.
     """
-    if isinstance(source, str) and "\n" not in source:
-        if not source.lstrip().lower().startswith(("#", _HEADER)):
-            source = Path(source)
-    if isinstance(source, Path):
-        return SpectrumTrace(*_parse(source.read_text(encoding="utf-8"), source))
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
-        text = str(source)
-    return SpectrumTrace(*_parse(text))
+    if hasattr(source, "read"):
+        text = source.read()
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return SpectrumTrace(*_parse(text))
+    path = Path(source)
+    return SpectrumTrace(*_parse(path.read_text(encoding="utf-8"), path))
 
 
 def _metadata(line: str, lineno: int, rbw_hz: float, label: str) -> tuple[float, str]:
@@ -564,7 +559,8 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     Raises FitConvergenceError with the last iterate when MAX_ITERATIONS
     (200) run out or when no damped step lowers the SSE, and ValidationError when
     a power in the window, or the sum of their squares, is past the float
-    range in linear power.
+    range in linear power, and, in either weight space, when n (2 max|y_dB|)^2
+    is past it: a dB residual can reach twice the largest |power|.
     """
     config = config or FitConfig()
     work = trace
@@ -579,6 +575,10 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
         raise ValidationError(
             f"only {nu.size} usable points after windowing; need at least {3 * _N_PARAMS}"
         )
+    peak_db = float(np.abs(y_db).max())
+    if not peak_db < math.sqrt(_MAX / nu.size) / 2.0:  # a dB residual can reach 2 peak_db
+        raise ValidationError(f"power {y_db[np.abs(y_db).argmax()]:g} dBm is past what the "
+                              "fit's sums of squares can hold in a float")
 
     delta_floor = 1e-9 * float(nu[-1])
     guess = _initial_guess(nu, y_db) if config.initial_guess is None else config.initial_guess
@@ -597,7 +597,7 @@ def fit_intensity_spectrum(trace: SpectrumTrace, config: FitConfig | None = None
     # the SSE's rounding floor: n residuals of the dB data's rounding eps |y_db|,
     # carried into linear power by dy/dy_db = y ln(10)/10
     slope = float(y.max()) / _LOG10_SCALE if linear else 1.0
-    sse_floor = nu.size * (_EPS * float(np.abs(y_db).max()) * slope) ** 2
+    sse_floor = nu.size * (_EPS * peak_db * slope) ** 2
     y_sum = float(np.add.reduce(y))
     f, s0, *factors = _model(nu2, params, y, y_sum, linear)
     params = (s0, *params[1:])
@@ -743,28 +743,25 @@ def grid_hz(start_hz: float, stop_hz: float, step_hz: float) -> np.ndarray:
 
 def synth_trace(
     params: OpoParams,
-    which: str = "intensity",
-    grid=DEFAULT_GRID_HZ,
+    which: str,
+    nu_hz,
     noise_db: float = 0.0,
     seed: int = 0,
     rbw_hz: float = 30e3,
     label: str = "",
 ) -> SpectrumTrace:
-    """Deterministic synthetic trace of the chosen model plus Gaussian dB noise.
+    """Deterministic synthetic trace of the chosen model at the frequencies
+    ``nu_hz``, plus Gaussian dB noise.
 
-    ``grid`` is either a (start_hz, stop_hz, step_hz) triple or an explicit
-    frequency array; the phase model requires strictly positive frequencies.
-    ``noise_db`` must be finite and non-negative and ``seed`` non-negative,
-    with or without noise.
+    A (start_hz, stop_hz, step_hz) grid is :func:`grid_hz`'s to build; the
+    phase model requires strictly positive frequencies. ``noise_db`` must be
+    finite and non-negative and ``seed`` non-negative, with or without noise.
     """
     if not 0.0 <= noise_db < math.inf:
         raise ValidationError(f"noise_db must be non-negative and finite, got {noise_db}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
-    if isinstance(grid, tuple) and len(grid) == 3:
-        nu = grid_hz(*grid)
-    else:
-        nu = np.atleast_1d(np.asarray(grid, dtype=float))
+    nu = np.atleast_1d(np.asarray(nu_hz, dtype=float))
     curve = spectra.physical_frequency_curve(params, nu, which)
     values = spectra.relative_to_dbm(curve.values, params.s0_dbm)
     if noise_db > 0.0:

@@ -18,7 +18,7 @@ from twinbeam.spectra import OpoParams
 REFERENCE_A = dict(s0_dbm=-79.0, xi=0.72, delta_hz=2.98e6)
 REFERENCE_B = dict(s0_dbm=-79.5, xi=0.5, delta_hz=4.3e6)
 
-FINE_GRID = (0.5e6, 10.0e6, 1e3)
+FINE_GRID = tracefit.grid_hz(0.5e6, 10.0e6, 1e3)
 
 
 def _report(number: int, name: str, ok: bool) -> None:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -204,7 +205,8 @@ class TestFitCommand:
     @pytest.fixture()
     def trace_path(self, tmp_path):
         params = OpoParams.from_correlation(0.72, 2.98e6, -79.0)
-        trace = tracefit.synth_trace(params, "intensity", (0.5e6, 10e6, 5e3), 0.1, seed=4)
+        trace = tracefit.synth_trace(params, "intensity", tracefit.grid_hz(0.5e6, 10e6, 5e3),
+                                     0.1, seed=4)
         path = tmp_path / "trace.csv"
         path.write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         return path
@@ -246,8 +248,8 @@ class TestFitCommand:
 
     def test_floor_outside_the_trace_span_exits_4_and_writes_nothing(self, tmp_path, capsys):
         params = OpoParams.from_correlation(0.72, 3e6, -80.0)
-        trace = tracefit.synth_trace(params, "intensity", (1e6, 10e6, 30e3), 0.1)
-        floor = tracefit.synth_trace(params, "flat", (20e6, 30e6, 30e3))
+        trace = tracefit.synth_trace(params, "intensity", tracefit.grid_hz(1e6, 10e6, 30e3), 0.1)
+        floor = tracefit.synth_trace(params, "flat", tracefit.grid_hz(20e6, 30e6, 30e3))
         (tmp_path / "trace.csv").write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         (tmp_path / "floor.csv").write_text(tracefit.trace_to_csv(floor), encoding="utf-8")
         code = run("fit", "--trace", str(tmp_path / "trace.csv"),
@@ -396,6 +398,47 @@ class TestFitCommand:
         assert set(codes.values()) <= {0, cli.EXIT_VALIDATION}
         assert codes[1400] == codes[-1500] == 0
         assert codes[3080] == codes[-1600] == codes[-3300] == cli.EXIT_VALIDATION
+
+    @staticmethod
+    def spiked_trace(path, powers):
+        nu = np.linspace(2.1e6, 9e6, len(powers))
+        path.write_text(tracefit.trace_to_csv(tracefit.SpectrumTrace(nu, powers)),
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("space", ["db", "linear"])
+    @pytest.mark.parametrize("powers, named", [
+        ([-80.0] * 39 + [1e160], "1e+160"),
+        ([-80.0] * 39 + [1e169], "1e+169"),
+        ([-80.0] * 39 + [1e170], "1e+170"),
+        ([-80.0] * 39 + [-1e300], "-1e+300"),
+        ([1e300, -1e300] * 20, "1e+300"),
+    ], ids=["1e160", "1e169", "1e170", "minus_1e300", "alternating_1e300"])
+    def test_powers_whose_squares_leave_the_float_range_exit_4(self, tmp_path, capsys,
+                                                                powers, named, space):
+        # from about 1e154 dBm the dB residuals' sums of squares overflowed: up
+        # to 1e169 numpy warned and the fit exited 0 with rms_residual_db=inf,
+        # from 1e170 the SSE's rounding floor raised OverflowError (exit 1)
+        path = self.spiked_trace(tmp_path / "spike.csv", powers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("fit", "--trace", path, "--f-min", "0", "--weight-space", space,
+                       "--output-prefix", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        if space == "db" or named.startswith("-"):  # linear power refuses a hot trace first
+            assert err == (f"error: power {named} dBm is past what the fit's sums of squares "
+                           "can hold in a float\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rejected steps whose model is -inf dB
+    def test_a_power_of_1e150_dbm_still_fits(self, tmp_path):
+        path = self.spiked_trace(tmp_path / "spike.csv", [-80.0] * 39 + [1e150])
+        with pytest.warns(UserWarning, match="pinned at its boundary"):
+            assert run("fit", "--trace", path, "--f-min", "0",
+                       "--output-prefix", str(tmp_path / "o")) == 0
+        fit = json.loads((tmp_path / "o.fit.json").read_text())
+        assert math.isfinite(fit["rms_residual_db"]) and fit["points_used"] == 39
 
     def test_undetermined_xi_on_the_bound_reports_its_error(self, tmp_path):
         # delta sits below the 2 MHz window start, so the window sees only
@@ -566,7 +609,7 @@ def test_non_finite_float_flag_maps_to_an_exit_code(argv, value, tmp_path, capsy
     outputs = []
     if argv[0] == "fit":
         trace = tracefit.synth_trace(OpoParams.from_correlation(0.72, 3e6, -80.0), "intensity",
-                                     tracefit.DEFAULT_GRID_HZ, 0.1, seed=3)
+                                     tracefit.grid_hz(*tracefit.DEFAULT_GRID_HZ), 0.1, seed=3)
         (tmp_path / "trace.csv").write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         prefix = tmp_path / "run"
         argv[1:1] = ["--trace", str(tmp_path / "trace.csv"), "--output-prefix", str(prefix)]
@@ -585,6 +628,20 @@ def test_non_finite_float_flag_maps_to_an_exit_code(argv, value, tmp_path, capsy
         cells = [cell.strip(' "').lower() for line in text.splitlines()
                  if not line.startswith("#") for cell in re.split(r"[,=:\[\]{}]", line)]
         assert not {"nan", "inf", "-inf", "infinity", "-infinity"} & set(cells)
+
+
+class TestPartialFlagGroups:
+    @pytest.mark.parametrize("argv, message", [
+        (("--xi", "0.5", "--delta-hz", "3e6", "--s0-dbm", "-80", "--f-start", "1e6",
+          "--f-step", "1e5"), "--f-start, --f-stop, --f-step must be given together"),
+        (("--t", "0.1", "--d", "1e8", "--s0-dbm", "-80", *_GRID),
+         "--t, --a and --d must be given together"),
+        (("--a", "0.01", "--s0-dbm", "-80", *_GRID), "--t, --a and --d must be given together"),
+    ])
+    @pytest.mark.parametrize("command", ["spectra", "synth"])
+    def test_a_partial_group_is_refused_by_name(self, capsys, command, argv, message):
+        assert run(command, *argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestFloatRange:
@@ -622,7 +679,7 @@ class TestFloatRange:
 
     def test_phase_prediction_past_the_float_range_is_refused(self, tmp_path, capsys):
         trace = tracefit.synth_trace(OpoParams.from_correlation(0.72, 3e6, -80.0), "intensity",
-                                     tracefit.DEFAULT_GRID_HZ, 0.1, seed=3)
+                                     tracefit.grid_hz(*tracefit.DEFAULT_GRID_HZ), 0.1, seed=3)
         (tmp_path / "trace.csv").write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         assert run("fit", "--trace", str(tmp_path / "trace.csv"), "--output-prefix",
                    str(tmp_path / "run"), "--phase-grid", "1e-160,1e-159,1e-160") == 4
@@ -760,7 +817,8 @@ class TestConfig:
     def trace_path(self, tmp_path):
         params = OpoParams.from_correlation(0.72, 2.98e6, -79.0)
         path = tmp_path / "t.csv"
-        trace = tracefit.synth_trace(params, "intensity", noise_db=0.05)
+        nu = tracefit.grid_hz(*tracefit.DEFAULT_GRID_HZ)
+        trace = tracefit.synth_trace(params, "intensity", nu, noise_db=0.05)
         path.write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         return path
 
@@ -863,7 +921,8 @@ class TestConfig:
         config = tmp_path / "narrow.cfg"
         config.write_text("trace_fit.fit_window_hz = 1e3, 2e3\ncli.grid_hz = 0.5e6, 10e6, 30e3\n")
         params = OpoParams.from_correlation(0.72, 2.98e6, -79.0)
-        trace = tracefit.synth_trace(params, "intensity", (0.5e6, 10e6, 30e3), 0.0)
+        trace = tracefit.synth_trace(params, "intensity", tracefit.grid_hz(0.5e6, 10e6, 30e3),
+                                     0.0)
         path = tmp_path / "t.csv"
         path.write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         bad = cli.main(["--config", str(config), "fit", "--trace", str(path),

@@ -132,6 +132,32 @@ class TestIntegerArguments:
         assert state.dim == 4
 
 
+class TestRefusals:
+    """Refusals by name that no other test reaches."""
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: fock.MultimodeState((ModeLabel(H, 0, Port.A),) * 2, 1, one_hot(4)),
+                     "duplicate mode labels", id="duplicate-label"),
+        pytest.param(lambda: fock.make_fock([0], 0), "cutoff must be >= 1", id="cutoff-0"),
+        pytest.param(lambda: fock.make_fock([0, 0], 1, modes=[("H", 0, "a", 1), ("H", 0, "b")]),
+                     "mode label ('H', 0, 'a', 1) is neither a ModeLabel nor a tuple of its fields",
+                     id="long-tuple-label"),
+        pytest.param(lambda: fock.make_fock([0] * 5, 1),
+                     "explicit mode labels required for more than 4 modes", id="five-default-modes"),
+        pytest.param(lambda: fock.make_fock([0, 0], 1, modes=[ModeLabel(H, 0, Port.A)]),
+                     "one occupation per mode required", id="occupations-per-mode"),
+        pytest.param(lambda: fock.make_twin_mode_mixture(np.ones((2, 3)), 2),
+                     "weight matrix must be square, got shape (2, 3)", id="non-square-weights"),
+        pytest.param(lambda: fock.apply_beam_splitter(fock.make_fock([1, 1], 2), convention="x"),
+                     "unknown convention 'x'", id="convention"),
+        pytest.param(lambda: fock.apply_beam_splitter(fock.make_fock([1, 1], 2), ("a", "a")),
+                     "beam splitter needs two distinct ports", id="same-port-twice"),
+    ])
+    def test_refused_by_name(self, make, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make()
+
+
 class TestTwinModeMixture:
     @staticmethod
     def assert_single_vector(state, expected):

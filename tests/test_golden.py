@@ -16,7 +16,7 @@ from twinbeam import cli, spectra, tracefit
 GOLDEN = Path(__file__).parent / "golden"
 
 PARAMS = spectra.OpoParams.from_correlation(0.72, 2.98e6, -79.0)
-ODD_GRID = (0.5e6, 1.2e6, 12345.678)
+ODD_GRID = tracefit.grid_hz(0.5e6, 1.2e6, 12345.678)
 
 
 def cli_stdout(*argv):
@@ -32,7 +32,7 @@ def noisy_trace():
 
 
 def bare_trace():
-    nu = tracefit.grid_hz(*ODD_GRID)
+    nu = ODD_GRID
     return tracefit.SpectrumTrace(nu, -80.0 - np.sqrt(nu / 1e6))
 
 
@@ -40,7 +40,7 @@ def phase_prediction():
     fit = tracefit.FitResult(s0_dbm=-79.0123456789, xi=0.7234567891, delta_hz=2981234.56789,
                              covariance=np.zeros((3, 3)), rms_residual_db=0.1, points_used=57,
                              iterations=5)
-    return tracefit.predict_phase_spectrum(fit, tracefit.grid_hz(*ODD_GRID))
+    return tracefit.predict_phase_spectrum(fit, ODD_GRID)
 
 
 CASES = {
@@ -48,7 +48,7 @@ CASES = {
     "trace_bare.csv": lambda: tracefit.trace_to_csv(bare_trace()),
     "curve_dbm.csv": lambda: phase_prediction().to_csv(),
     "curve_relative.csv": lambda: spectra.physical_frequency_curve(
-        PARAMS, tracefit.grid_hz(*ODD_GRID), "phase").to_csv(),
+        PARAMS, ODD_GRID, "phase").to_csv(),
     "hom.csv": lambda: cli_stdout("hom", "--n-a", "3", "--n-b", "2", "--theta", "0.3",
                                   "--format", "csv"),
     "hom_distinguishable.csv": lambda: cli_stdout("hom", "--distinguishable", "--format", "csv"),

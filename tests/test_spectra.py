@@ -303,6 +303,20 @@ class TestPhysicalFrequencyCurve:
         assert lines[1].endswith(",relative")
 
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: spectra.SpectrumCurve([1e6, 2e6], [1.0], spectra.RELATIVE),
+         "frequency and value arrays must match"),
+        (lambda: spectra.SpectrumCurve([1e6], [1.0], "db"),
+         "unit must be 'relative' or 'dbm', got 'db'"),
+        (lambda: spectra.physical_frequency_curve(
+            spectra.OpoParams.from_correlation(0.5, 4.3e6, -79.5), [1e6], "amplitude"),
+         "which must be one of ['flat', 'intensity', 'phase'], got 'amplitude'"),
+    ], ids=["shapes", "unit", "which"])
+    def test_refused_by_name(self, make, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make()
+
+
 class TestCsvTable:
     any_float = st.one_of(
         st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),

@@ -1,10 +1,12 @@
 """Trace ingestion, floor subtraction, fitting, and prediction tests."""
 
 import contextlib
+import copy
 import gzip
 import io
 import math
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -18,14 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from twinbeam import tracefit
+from twinbeam import fock, tracefit
 from twinbeam.errors import FitConvergenceError, TraceParseError, ValidationError
 from twinbeam.spectra import OpoParams, SpectrumCurve
 
 PARAMS_A = OpoParams.from_correlation(0.72, 2.98e6, -79.0)
 PARAMS_B = OpoParams.from_correlation(0.5, 4.3e6, -79.5)
-COARSE_GRID = (0.5e6, 10.0e6, 30e3)
-FINE_GRID = (0.5e6, 10.0e6, 1e3)
+COARSE_GRID = tracefit.grid_hz(0.5e6, 10.0e6, 30e3)
+FINE_GRID = tracefit.grid_hz(0.5e6, 10.0e6, 1e3)
+COARSE_GRID.setflags(write=False)  # shared by every test
+FINE_GRID.setflags(write=False)
 
 GOOD_CSV = """# rbw_hz=30000
 # label=bench trace
@@ -48,20 +52,20 @@ def flat_trace(level_dbm, start=0.4e6, stop=10.5e6, step=50e3, label="flat"):
 
 class TestLoadTrace:
     def test_wellformed_csv(self):
-        trace = tracefit.load_trace(GOOD_CSV)
+        trace = tracefit.load_trace(io.StringIO(GOOD_CSV))
         assert len(trace) == 8
         assert trace.rbw_hz == 30000
         assert trace.label == "bench trace"
         assert trace.powers_dbm[0] == -80.1
 
     def test_bytes_input(self):
-        trace = tracefit.load_trace(GOOD_CSV.encode("utf-8"))
+        trace = tracefit.load_trace(io.BytesIO(GOOD_CSV.encode("utf-8")))
         assert len(trace) == 8
 
     @pytest.mark.parametrize("stream", [io.StringIO, lambda text: io.BytesIO(text.encode())],
                              ids=["text", "bytes"])
     def test_stream_reads_as_its_text(self, stream):
-        expected = tracefit.load_trace(GOOD_CSV)
+        expected = tracefit.load_trace(io.StringIO(GOOD_CSV))
         trace = tracefit.load_trace(stream(GOOD_CSV))
         np.testing.assert_array_equal(trace.frequencies_hz, expected.frequencies_hz)
         np.testing.assert_array_equal(trace.powers_dbm, expected.powers_dbm)
@@ -74,36 +78,36 @@ class TestLoadTrace:
     def test_duplicate_frequency_names_line(self):
         bad = GOOD_CSV + "1210000,-80.0\n"
         with pytest.raises(TraceParseError) as err:
-            tracefit.load_trace(bad)
+            tracefit.load_trace(io.StringIO(bad))
         assert err.value.line == 12
         assert "1.21e+06" in str(err.value)
 
     def test_non_numeric_field_names_line(self):
         bad = GOOD_CSV.replace("1060000,-79.9", "1060000,oops")
         with pytest.raises(TraceParseError) as err:
-            tracefit.load_trace(bad)
+            tracefit.load_trace(io.StringIO(bad))
         assert err.value.line == 6
 
     def test_wrong_column_count(self):
         bad = GOOD_CSV.replace("1060000,-79.9", "1060000,-79.9,1")
         with pytest.raises(TraceParseError):
-            tracefit.load_trace(bad)
+            tracefit.load_trace(io.StringIO(bad))
 
     def test_missing_header(self):
         with pytest.raises(TraceParseError):
-            tracefit.load_trace("1000000,-80.0\n1030000,-80.2\n")
+            tracefit.load_trace(io.StringIO("1000000,-80.0\n1030000,-80.2\n"))
 
     @pytest.mark.parametrize("text,message", [
         ("frequency_hz,power_dbm", "no data rows"),
         ("# rbw_hz=30000", "missing"),
         ("frequency_hz,power_dbm\n1000000,-80.0", None),
     ])
-    def test_str_with_newline_comment_or_header_is_text(self, text, message):
+    def test_stream_of_a_header_a_comment_or_one_row(self, text, message):
         if message is None:
-            assert len(tracefit.load_trace(text)) == 1
+            assert len(tracefit.load_trace(io.StringIO(text))) == 1
         else:
             with pytest.raises(TraceParseError, match=message):
-                tracefit.load_trace(text)
+                tracefit.load_trace(io.StringIO(text))
 
     def test_path_is_always_a_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -111,8 +115,20 @@ class TestLoadTrace:
         assert len(tracefit.load_trace(Path("frequency_hz,power_dbm"))) == 8
         assert len(tracefit.load_trace(str(tmp_path / "frequency_hz,power_dbm"))) == 8
 
+    @pytest.mark.parametrize("name", ["#run1.csv", "frequency_hz,power_dbm.csv",
+                                      "frequency_hz,power_dbm"])
+    def test_str_is_always_a_file_name(self, tmp_path, monkeypatch, name):
+        # a str that starts with '#' or with the header was once taken for CSV text
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(GOOD_CSV)
+        assert len(tracefit.load_trace(name)) == 8
+
+    def test_bytes_are_neither_a_stream_nor_a_path(self):
+        with pytest.raises(TypeError):
+            tracefit.load_trace(GOOD_CSV.encode("utf-8"))
+
     def test_grid_point_count(self):
-        nu = tracefit.grid_hz(*COARSE_GRID)
+        nu = tracefit.grid_hz(0.5e6, 10.0e6, 30e3)
         assert nu.size == 317  # (10 - 0.5) MHz at 30 kHz spacing, start inclusive
 
     @pytest.mark.parametrize("grid", [
@@ -150,7 +166,7 @@ class TestLoadTrace:
             tracefit.SpectrumTrace([1e6, 2e6], [-80.0, -80.0], float(value))
         text = GOOD_CSV.replace("# rbw_hz=30000", f"# rbw_hz={value}")
         with pytest.raises(TraceParseError, match="bad rbw_hz value") as err:
-            tracefit.load_trace(text)
+            tracefit.load_trace(io.StringIO(text))
         assert err.value.line == 1
 
     @pytest.mark.parametrize("write", [
@@ -158,7 +174,8 @@ class TestLoadTrace:
         lambda trace: SpectrumCurve(trace.frequencies_hz, trace.powers_dbm, "dbm").to_csv(),
     ], ids=["trace_to_csv", "to_csv"])
     def test_writing_a_full_size_trace_allocates_under_four_times_its_text(self, write):
-        trace = tracefit.synth_trace(PARAMS_A, "intensity", (0.5e6, 10e6, 100.0), 0.05, seed=4)
+        nu = tracefit.grid_hz(0.5e6, 10e6, 100.0)
+        trace = tracefit.synth_trace(PARAMS_A, "intensity", nu, 0.05, seed=4)
         assert len(trace) == 95_001
         tracemalloc.start()
         try:
@@ -170,7 +187,7 @@ class TestLoadTrace:
 
     def test_csv_roundtrip(self):
         trace = tracefit.synth_trace(PARAMS_A, "intensity", COARSE_GRID, 0.3, seed=5)
-        back = tracefit.load_trace(tracefit.trace_to_csv(trace))
+        back = tracefit.load_trace(io.StringIO(tracefit.trace_to_csv(trace)))
         np.testing.assert_allclose(back.frequencies_hz, trace.frequencies_hz, rtol=1e-9)
         np.testing.assert_allclose(back.powers_dbm, trace.powers_dbm, atol=1e-9)
         assert back.rbw_hz == trace.rbw_hz
@@ -194,7 +211,7 @@ def outcome(parse, text):
 
 
 def loaded(text):
-    trace = tracefit.load_trace(text.encode("utf-8"))
+    trace = tracefit.load_trace(io.BytesIO(text.encode("utf-8")))
     return trace.frequencies_hz, trace.powers_dbm, trace.rbw_hz, trace.label
 
 
@@ -209,7 +226,7 @@ def walks_the_body(text):
     than take the arrays of its one ``np.loadtxt`` call."""
     with mock.patch.object(tracefit, "_walk", wraps=tracefit._walk) as walk:
         with contextlib.suppress(TraceParseError):
-            tracefit.load_trace(text)
+            tracefit.load_trace(io.StringIO(text))
     return walk.called
 
 
@@ -290,12 +307,12 @@ class TestParseParity:
 
     def test_form_feed_inside_a_row_names_its_line(self):
         with pytest.raises(TraceParseError, match=r"^line 2: non-numeric field in '1e6,'$"):
-            tracefit.load_trace("frequency_hz,power_dbm\n1e6,\x0c-80\n2e6,-81\n")
+            tracefit.load_trace(io.StringIO("frequency_hz,power_dbm\n1e6,\x0c-80\n2e6,-81\n"))
 
     def test_metadata_after_the_header(self):
         text = "frequency_hz,power_dbm\n1e6,-80\n# rbw_hz=1000\n2e6,-81\n"
         assert walks_the_body(text)
-        assert tracefit.load_trace(text).rbw_hz == 1000.0
+        assert tracefit.load_trace(io.StringIO(text)).rbw_hz == 1000.0
         assert_parsers_agree(text)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"] + list(OTHER_LINE_BREAKS))
@@ -309,7 +326,7 @@ class TestParseParity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TraceParseError, match="^line 1: no data rows$"):
-                tracefit.load_trace(text)
+                tracefit.load_trace(io.StringIO(text))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -323,7 +340,7 @@ class TestParseParity:
         powers = np.array([float(f"{p:.12g}") for p in powers[: freqs.size]])
         text = tracefit.trace_to_csv(tracefit.SpectrumTrace(freqs, powers, rbw_hz, label))
         assert not walks_the_body(text)
-        back = tracefit.load_trace(text)
+        back = tracefit.load_trace(io.StringIO(text))
         assert back.frequencies_hz.tobytes() == freqs.tobytes()
         assert back.powers_dbm.tobytes() == powers.tobytes()
         assert back.rbw_hz == float(f"{rbw_hz:.10g}")
@@ -345,10 +362,9 @@ def read_back(source):
 
 def assert_file_reads_as_its_text(path, text):
     """``load_trace`` of the file ``path`` holding ``text`` gives what it
-    gives for the text itself (passed as bytes, so that it is never taken
-    for a file name)."""
+    gives for the text itself, read from a byte stream."""
     path.write_bytes(text.encode("utf-8"))
-    assert read_back(path) == read_back(text.encode("utf-8"))
+    assert read_back(path) == read_back(io.BytesIO(text.encode("utf-8")))
 
 
 def loadtxt_sources(path):
@@ -446,7 +462,8 @@ class TestFileParity:
 
     def test_full_size_file_read_peaks_under_ten_megabytes(self, tmp_path):
         path = tmp_path / "trace.csv"
-        trace = tracefit.synth_trace(PARAMS_A, "intensity", (0.5e6, 10e6, 100.0), 0.05, seed=4)
+        nu = tracefit.grid_hz(0.5e6, 10e6, 100.0)
+        trace = tracefit.synth_trace(PARAMS_A, "intensity", nu, 0.05, seed=4)
         path.write_text(tracefit.trace_to_csv(trace), encoding="utf-8")
         tracemalloc.start()
         try:
@@ -459,6 +476,36 @@ class TestFileParity:
 
 
 LABEL_BREAKS = "\n\r" + OTHER_LINE_BREAKS
+
+
+class TestTraceShape:
+    @pytest.mark.parametrize("freqs, powers", [
+        ([1e6, 2e6], [-80.0]), ([[1e6, 2e6]], [[-80.0, -81.0]]),
+    ], ids=["lengths", "two-dimensional"])
+    def test_arrays_of_other_shapes_are_refused(self, freqs, powers):
+        with pytest.raises(ValidationError, match="must be 1-d and equal length"):
+            tracefit.SpectrumTrace(freqs, powers)
+
+    @pytest.mark.parametrize("freqs, after", [([2e6, 1e6], 0), ([1e6, 2e6, 2e6], 1)])
+    def test_frequencies_that_do_not_increase_are_refused(self, freqs, after):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"frequencies must be strictly increasing (violated after sample {after})")):
+            tracefit.SpectrumTrace(freqs, np.full(len(freqs), -80.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fock.make_fock([1, 1], cutoff=2),
+    lambda: tracefit.SpectrumTrace([1e6, 2e6], [-80.0, -81.0]),
+    lambda: SpectrumCurve([1e6, 2e6], [1.0, 0.5], "relative"),
+    lambda: tracefit.FitResult(-80.0, 0.5, 3e6, np.eye(3), 0.1, 40, 5),
+], ids=["MultimodeState", "SpectrumTrace", "SpectrumCurve", "FitResult"])
+def test_records_holding_arrays_compare_and_hash_by_identity(make):
+    # generated value equality compared arrays, and raised on ==, in and hash
+    record = make()
+    assert record == record
+    assert record != copy.copy(record)
+    assert record in [record]
+    assert {record, record} == {record}
 
 
 class TestTraceLabel:
@@ -476,12 +523,13 @@ class TestTraceLabel:
                                    st.characters()), max_size=12))
     def test_every_accepted_label_reads_back(self, label):
         try:
-            trace = tracefit.synth_trace(PARAMS_A, "intensity", (1e6, 2e6, 5e5), label=label)
+            trace = tracefit.synth_trace(PARAMS_A, "intensity", tracefit.grid_hz(1e6, 2e6, 5e5),
+                                         label=label)
         except ValidationError:
             assert label.splitlines() != [label] or "\udcff" in label
             return
         text = tracefit.trace_to_csv(trace)
-        assert tracefit.load_trace(text.encode("utf-8")).label == trace.label
+        assert tracefit.load_trace(io.BytesIO(text.encode("utf-8"))).label == trace.label
 
 
 class TestNoiseFloor:
@@ -495,7 +543,8 @@ class TestNoiseFloor:
         assert dropped.size == 0
 
     def test_subtract_then_add_back_is_identity(self):
-        signal = tracefit.synth_trace(PARAMS_A, "intensity", (1e6, 9e6, 100e3), 0.2, seed=3)
+        signal = tracefit.synth_trace(PARAMS_A, "intensity", tracefit.grid_hz(1e6, 9e6, 100e3),
+                                      0.2, seed=3)
         floor = flat_trace(-93.0)
         corrected, _ = tracefit.subtract_noise_floor(signal, floor)
         floor_mw = np.interp(corrected.frequencies_hz, floor.frequencies_hz, floor.powers_mw())
@@ -587,8 +636,24 @@ class TestFit:
         assert fit_spurred.delta_hz == pytest.approx(fit_clean.delta_hz, rel=5e-3)
         assert fit_spurred.s0_dbm == pytest.approx(fit_clean.s0_dbm, abs=0.05)
 
+    def test_fewer_than_eight_points_refused_before_windowing(self):
+        nu = np.arange(1, 8) * 1e6
+        with pytest.raises(ValidationError, match="^need at least 8 trace points, got 7$"):
+            tracefit.fit_intensity_spectrum(tracefit.SpectrumTrace(nu, np.full(7, -80.0)))
+
+    def test_a_step_with_no_descent_ends_the_fit_by_name(self):
+        # a 60 dB step in the middle: lambda climbs past 1e15 with no step
+        # lowering the SSE, while delta runs off along the flat top
+        nu = np.linspace(2.1e6, 9e6, 40)
+        trace = tracefit.SpectrumTrace(nu, np.r_[np.full(20, -80.0), np.full(20, -20.0)])
+        message = "no damped step lowers the SSE after 25 iterations (sse "
+        with pytest.raises(FitConvergenceError, match=re.escape(message)) as err:
+            tracefit.fit_intensity_spectrum(trace, tracefit.FitConfig())
+        assert "last params [" in str(err.value) and err.value.iterations == 25
+        assert err.value.last_params[1] == 1.0
+
     def test_too_few_points_rejected(self):
-        trace = tracefit.load_trace(GOOD_CSV)
+        trace = tracefit.load_trace(io.StringIO(GOOD_CSV))
         config = tracefit.FitConfig(fit_window_hz=(1.0e6, 1.1e6))
         with pytest.raises(ValidationError):
             tracefit.fit_intensity_spectrum(trace, config)
@@ -596,7 +661,7 @@ class TestFit:
     def test_nonconvergence_carries_last_iterate(self):
         # a flat trace on which xi -> 1 and delta -> inf creep until the iterations run out
         params = OpoParams.from_correlation(0.72, 3e6, -80.0)
-        trace = tracefit.synth_trace(params, "flat", noise_db=0.1, seed=7)
+        trace = tracefit.synth_trace(params, "flat", COARSE_GRID, noise_db=0.1, seed=7)
         with pytest.raises(FitConvergenceError) as err:
             tracefit.fit_intensity_spectrum(trace, tracefit.FitConfig.standard())
         assert err.value.last_params is not None
@@ -610,7 +675,8 @@ class TestFit:
         assert fit.delta_hz == pytest.approx(PARAMS_A.delta_hz, rel=1e-6)
 
     def test_floor_in_config_is_applied(self):
-        trace = tracefit.synth_trace(PARAMS_A, "intensity", (2.2e6, 9.8e6, 30e3), 0.0)
+        trace = tracefit.synth_trace(PARAMS_A, "intensity", tracefit.grid_hz(2.2e6, 9.8e6, 30e3),
+                                     0.0)
         mixed_mw = trace.powers_mw() + 10.0 ** (-94.5 / 10.0)
         contaminated = tracefit.SpectrumTrace(
             trace.frequencies_hz, 10.0 * np.log10(mixed_mw), trace.rbw_hz
@@ -706,7 +772,8 @@ class TestBoundedFit:
         for _ in range(300):
             truth = np.array([rng.uniform(-85.0, -75.0), rng.uniform(0.3, 0.95),
                               rng.uniform(1.5e6, 4e6)])
-            trace = tracefit.synth_trace(OpoParams.from_correlation(*truth[1:], truth[0]))
+            params = OpoParams.from_correlation(*truth[1:], truth[0])
+            trace = tracefit.synth_trace(params, "intensity", COARSE_GRID)
             fit = tracefit.fit_intensity_spectrum(trace, config)
             np.testing.assert_allclose([fit.s0_dbm, fit.xi, fit.delta_hz], truth, rtol=1e-9)
             iterations.append(fit.iterations)
@@ -726,8 +793,8 @@ class TestBoundedFit:
         for seed in range(200):
             params = OpoParams.from_correlation(
                 rng.uniform(0.9, 0.995), rng.uniform(1.5e6, 2.5e6), -80.0)
-            trace = tracefit.synth_trace(params, "intensity", noise_db=rng.uniform(0.1, 0.2),
-                                         seed=seed)
+            trace = tracefit.synth_trace(params, "intensity", COARSE_GRID,
+                                         noise_db=rng.uniform(0.1, 0.2), seed=seed)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 fit = tracefit.fit_intensity_spectrum(trace, config)
@@ -751,7 +818,7 @@ class TestBoundedFit:
         # the fit raised; with S0 damped as a third parameter, seeds 11 and
         # 15 still did
         params = OpoParams.from_correlation(0.7, 3e6, -80.0)
-        trace = tracefit.synth_trace(params, "flat", noise_db=0.1, seed=seed)
+        trace = tracefit.synth_trace(params, "flat", COARSE_GRID, noise_db=0.1, seed=seed)
         config = tracefit.FitConfig.standard()
         with pytest.warns(UserWarning, match="pinned at its boundary"):
             fit = tracefit.fit_intensity_spectrum(trace, config)
@@ -769,7 +836,7 @@ class TestBoundedFit:
         # power it is orthogonal to the model at the optimal scale, up to the
         # rounding of that scale in dB, eps |S0| ln(10)/10 relative
         params = OpoParams.from_correlation(xi, delta, s0)
-        trace = tracefit.synth_trace(params, which, noise_db=noise_db, seed=seed)
+        trace = tracefit.synth_trace(params, which, COARSE_GRID, noise_db=noise_db, seed=seed)
         config = tracefit.FitConfig.standard(weight_space=space)
         try:
             with warnings.catch_warnings():
@@ -792,7 +859,7 @@ class TestBoundedFit:
         # to ~1e67 and the normal equations were singular; now xi -> 1 and
         # delta -> inf creep along a valley until the iterations run out
         params = OpoParams.from_correlation(0.7, 3e6, -80.0)
-        trace = tracefit.synth_trace(params, "flat", noise_db=0.1, seed=7)
+        trace = tracefit.synth_trace(params, "flat", COARSE_GRID, noise_db=0.1, seed=7)
         with pytest.raises(FitConvergenceError, match="no convergence after 200 iterations"):
             tracefit.fit_intensity_spectrum(trace, tracefit.FitConfig.standard())
 
@@ -936,7 +1003,7 @@ class TestNonFiniteSamples:
         ("powers", np.nan), ("powers", np.inf), ("powers", -np.inf),
     ])
     def test_rejected(self, column, value):
-        nu = tracefit.grid_hz(*COARSE_GRID)
+        nu = COARSE_GRID.copy()
         powers = np.full(nu.size, -80.0)
         (nu if column == "frequencies" else powers)[100] = value
         with pytest.raises(ValidationError, match="must be finite"):
@@ -1032,8 +1099,15 @@ class TestSqueezingReport:
 
 
 class TestSynth:
+    @pytest.mark.parametrize("nu", [(1e6, 2e6, 3e6), [1e6, 2e6, 3e6], np.array([1e6, 2e6, 3e6])],
+                             ids=["tuple", "list", "array"])
+    def test_three_frequencies_give_three_points(self, nu):
+        # a 3-tuple was once read as (start, stop, step): a 1-point trace
+        trace = tracefit.synth_trace(PARAMS_A, "intensity", nu)
+        np.testing.assert_array_equal(trace.frequencies_hz, [1e6, 2e6, 3e6])
+
     def test_noiseless_matches_model_exactly(self):
-        trace = tracefit.synth_trace(PARAMS_A, "intensity", (1e6, 5e6, 500e3))
+        trace = tracefit.synth_trace(PARAMS_A, "intensity", tracefit.grid_hz(1e6, 5e6, 500e3))
         u = trace.frequencies_hz / PARAMS_A.delta_hz
         expected = PARAMS_A.s0_dbm + 10 * np.log10(1 - PARAMS_A.xi / (1 + u**2))
         np.testing.assert_allclose(trace.powers_dbm, expected, atol=1e-12)
@@ -1048,7 +1122,7 @@ class TestSynth:
         assert trace.powers_dbm[0] == pytest.approx(-79.5 + 10 * np.log10(1.125), abs=1e-10)
 
     def test_flat_trace_sits_at_shot_noise(self):
-        trace = tracefit.synth_trace(PARAMS_A, "flat", (1e6, 3e6, 1e6))
+        trace = tracefit.synth_trace(PARAMS_A, "flat", tracefit.grid_hz(1e6, 3e6, 1e6))
         np.testing.assert_allclose(trace.powers_dbm, -79.0, atol=1e-12)
 
     def test_phase_model_rejects_zero_frequency(self):
